@@ -394,8 +394,10 @@ fn bench_service_planet_mid_sharded() -> f64 {
 /// `min_active` slots in the first group, so admissions into the other
 /// groups pay O(group) scans — which is why this pair keeps all 64
 /// regions and shortens the day instead. The ratio of this key to
-/// `service_planet_mid_sharded` is the PR-10 speedup (≈5× here, 5.1×
-/// on the full 50-epoch run: 56.9 s unsharded vs 11.2 s sharded).
+/// `service_planet_mid_sharded` is the sharding speedup (7.6× at the
+/// committed baseline on a 2-core box; 5.1× on the full 50-epoch run
+/// on one core when the engine was introduced: 56.9 s unsharded vs
+/// 11.2 s sharded).
 fn bench_service_planet_mid_unsharded() -> f64 {
     let cfg = planet_mid().monolithic();
     bench(1, 1, || service(&cfg, 7).completed)

@@ -57,6 +57,10 @@ pub struct RunInfo {
     pub sim_duration_ns: u64,
     /// Wall-clock phases (name, nanoseconds), in recorded order.
     pub phases: Vec<(String, u64)>,
+    /// Host measurements (name with unit, value) from the extra fields
+    /// of `phase` rows, in recorded order: `peak_rss_kb` and
+    /// `arrivals_per_s` for the flow-level engines.
+    pub host: Vec<(String, f64)>,
     /// All metric rows, keyed by (possibly labeled) metric name.
     pub metrics: BTreeMap<String, Metric>,
 }
@@ -228,6 +232,7 @@ fn parse_manifest(body: &str) -> RunInfo {
         seed: 0,
         sim_duration_ns: 0,
         phases: Vec::new(),
+        host: Vec::new(),
         metrics: BTreeMap::new(),
     };
     for line in body.lines() {
@@ -245,11 +250,17 @@ fn parse_manifest(body: &str) -> RunInfo {
                 }
             }
             Some("phase") if cells.len() >= 3 => {
-                if let Some(ns) = cells[2]
-                    .strip_prefix("wall_ns=")
-                    .and_then(|v| v.parse().ok())
-                {
-                    info.phases.push((cells[1].to_string(), ns));
+                for c in &cells[2..] {
+                    let Some((k, v)) = c.split_once('=') else {
+                        continue;
+                    };
+                    if k == "wall_ns" {
+                        if let Ok(ns) = v.parse() {
+                            info.phases.push((cells[1].to_string(), ns));
+                        }
+                    } else if let Ok(v) = v.parse() {
+                        info.host.push((k.to_string(), v));
+                    }
                 }
             }
             Some("metric") if cells.len() >= 4 => {
@@ -335,6 +346,20 @@ impl fmt::Display for RunReport {
             )?;
             for (name, ns) in &r.phases {
                 writeln!(f, "  phase {name}: {:.3} ms wall", *ns as f64 / 1e6)?;
+            }
+            if !r.host.is_empty() {
+                // A `phase` line too: every wall-clock-derived number
+                // shares the one prefix consumers strip.
+                let host: Vec<String> = r
+                    .host
+                    .iter()
+                    .map(|(name, v)| match name.as_str() {
+                        "peak_rss_kb" => format!("peak RSS {:.1} MB", v / 1024.0),
+                        "arrivals_per_s" => format!("{v:.0} arrivals/s wall"),
+                        _ => format!("{name} {v}"),
+                    })
+                    .collect();
+                writeln!(f, "  phase {} host: {}", r.experiment, host.join(", "))?;
             }
             let slo = r.tenant_slo();
             if !slo.is_empty() {
@@ -591,6 +616,34 @@ mod tests {
         assert!(om.contains("cronets_des_rtt_ns{run=\"chaos\",quantile=\"0.99\"} 30"));
         assert!(om.contains("cronets_des_rtt_ns_sum{run=\"chaos\"} 60.5"));
         assert!(om.ends_with("# EOF\n"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn host_records_reach_the_text_report() {
+        let dir = fixture_dir("host");
+        fs::write(
+            dir.join("manifest_service.tsv"),
+            "run\texperiment=service\tseed=7\tsim_duration_ns=0\n\
+             phase\tservice\twall_ns=780000000\tpeak_rss_kb=11980\tarrivals_per_s=1285356.4\tbroken=x\n\
+             metric\tcontrol.workload.arrivals\tcounter\t1002578\n",
+        )
+        .unwrap();
+        let r = assemble(&dir).unwrap();
+        assert_eq!(r.runs[0].phases, vec![("service".to_string(), 780_000_000)]);
+        assert_eq!(
+            r.runs[0].host,
+            vec![
+                ("peak_rss_kb".to_string(), 11_980.0),
+                ("arrivals_per_s".to_string(), 1_285_356.4),
+            ],
+            "malformed host fields are skipped"
+        );
+        let text = r.to_string();
+        assert!(
+            text.contains("  phase service host: peak RSS 11.7 MB, 1285356 arrivals/s wall\n"),
+            "{text}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

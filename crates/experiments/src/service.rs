@@ -16,7 +16,9 @@
 //! The run is a pure function of `(config, seed)` at any `--threads N`:
 //!
 //! * per-epoch arrivals come from `(seed, epoch)` substreams, generated
-//!   by `exec::parallel_map` work units and merged in epoch order;
+//!   at the start of each epoch and merged into the event queue's
+//!   `(time, seq)` order without being scheduled (see
+//!   [`ServiceLoop::run_epoch`]), so memory holds one epoch of requests;
 //! * per-epoch path truth is evaluated with one work unit per pair over
 //!   a read-only [`RouteCache`], merged in pair order;
 //! * the event loop itself is serial, and [`simcore::EventQueue`] breaks
@@ -394,8 +396,10 @@ fn claim_slots(fleet: &mut Fleet, hops: &Hops) -> SlotHops {
 
 /// A flow-level discrete event.
 enum Ev {
-    /// Arrival `idx` of `epoch` reaches the broker.
-    Arrive { epoch: u32, idx: u32 },
+    /// Arrival `idx` of the current epoch reaches the broker. Never
+    /// queued: the loop merges the epoch's sorted arrivals with the
+    /// queue and dispatches them through this variant.
+    Arrive { idx: u32 },
     /// An admitted flow finishes.
     Complete {
         tenant: u32,
@@ -637,7 +641,9 @@ pub(crate) struct ServiceLoop {
     pairs: Vec<(RouterId, RouterId)>,
     multihop: bool,
     cands: Vec<Vec<Candidate>>,
-    arrivals_by_epoch: Vec<Vec<FlowRequest>>,
+    seed: u64,
+    /// The current epoch's arrivals, sorted by `(at, id)`.
+    arrivals: Vec<FlowRequest>,
     total_arrivals: u64,
     broker: Broker,
     fleet: Fleet,
@@ -657,9 +663,10 @@ pub(crate) struct ServiceLoop {
 }
 
 impl ServiceLoop {
-    /// Builds the loop's world, pair catalogue, arrival schedule and
-    /// control-plane state. `remote` turns on the cross-region protocol
-    /// for one shard of the sharded service.
+    /// Builds the loop's world, pair catalogue and control-plane state.
+    /// Arrivals are generated one epoch at a time by
+    /// [`ServiceLoop::run_epoch`]. `remote` turns on the cross-region
+    /// protocol for one shard of the sharded service.
     ///
     /// # Panics
     ///
@@ -715,14 +722,6 @@ impl ServiceLoop {
             });
         }
 
-        // All arrivals up front: one work unit per epoch, pure in
-        // (seed, epoch), merged in epoch order.
-        let epochs = cfg.workload.epochs;
-        let arrivals_by_epoch = exec::parallel_map(epochs as usize, |e| {
-            cfg.workload.epoch_arrivals(seed, e as u32)
-        });
-        let total_arrivals: u64 = arrivals_by_epoch.iter().map(|a| a.len() as u64).sum();
-
         let mut broker = Broker::new(cfg.broker);
         if multihop {
             broker.enable_multihop(cands.clone(), BanditConfig::service(), seed);
@@ -737,13 +736,14 @@ impl ServiceLoop {
             pairs,
             multihop,
             cands,
-            arrivals_by_epoch,
-            total_arrivals,
+            seed,
+            arrivals: Vec::new(),
+            total_arrivals: 0,
             broker,
             fleet,
             slo,
             queue: EventQueue::new(),
-            rows: Vec::with_capacity(epochs as usize),
+            rows: Vec::with_capacity(cfg.workload.epochs as usize),
             billed_to: SimTime::ZERO,
             horizon,
             completed_total: 0,
@@ -755,10 +755,21 @@ impl ServiceLoop {
         }
     }
 
-    /// Runs epoch `e`: congestion step, path truth, probe refresh,
-    /// inbound cross-shard messages, the flow event loop, billing and
-    /// rebalance. `inbox` is empty in the classic single-region run.
+    /// Runs epoch `e`: arrival generation, congestion step, path truth,
+    /// probe refresh, inbound cross-shard messages, the flow event loop,
+    /// billing and rebalance. `inbox` is empty in the classic
+    /// single-region run.
+    ///
+    /// The epoch's arrivals, pure in `(seed, e)` and sorted by
+    /// `(at, id)`, are never scheduled. The loop merges them with the
+    /// queue in the order scheduling them all where the epoch's events
+    /// begin (sequence number `base`, before the inbox) would have
+    /// produced: the next arrival goes first when it is earlier than
+    /// the queue head, or ties with a head scheduled at or after
+    /// `base`.
     pub(crate) fn run_epoch(&mut self, e: u32, inbox: Vec<ShardMsg>) {
+        self.arrivals = self.cfg.workload.epoch_arrivals(self.seed, e);
+        self.total_arrivals += self.arrivals.len() as u64;
         if e > 0 {
             self.world.step_epoch(u64::from(e));
         }
@@ -789,7 +800,7 @@ impl ServiceLoop {
         let Self {
             cfg,
             pairs,
-            arrivals_by_epoch,
+            arrivals,
             broker,
             fleet,
             slo,
@@ -822,15 +833,7 @@ impl ServiceLoop {
                 broker.observe(s, c, epoch_start, truth[pi].clone());
             }
         }
-        for (i, req) in arrivals_by_epoch[e as usize].iter().enumerate() {
-            queue.schedule(
-                req.at,
-                Ev::Arrive {
-                    epoch: e,
-                    idx: i as u32,
-                },
-            );
-        }
+        let base = queue.next_seq();
 
         let b0 = broker.stats();
         let (done0, viol0) = (slo.completed(), slo.violations());
@@ -957,10 +960,26 @@ impl ServiceLoop {
             }
         }
 
-        while let Some((now, ev)) = queue.pop_before(epoch_end) {
+        let mut next = 0u32;
+        loop {
+            let head = queue.peek_key();
+            let arrive = match (arrivals.get(next as usize), head) {
+                (Some(req), Some((t, seq))) => req.at < t || (req.at == t && seq >= base),
+                (Some(_), None) => true,
+                (None, _) => false,
+            };
+            let (now, ev) = if arrive {
+                let idx = next;
+                next += 1;
+                (arrivals[idx as usize].at, Ev::Arrive { idx })
+            } else if head.is_some_and(|(t, _)| t < epoch_end) {
+                queue.pop().expect("the peeked head is live")
+            } else {
+                break;
+            };
             match ev {
-                Ev::Arrive { epoch, idx } if multihop => {
-                    let req = &arrivals_by_epoch[epoch as usize][idx as usize];
+                Ev::Arrive { idx } if multihop => {
+                    let req = &arrivals[idx as usize];
                     let pi = pair_of(req.client, pairs.len());
                     let (decision, arm) = broker.decide_paths(pi, |n| fleet.group_free(n));
                     let split = remote.as_ref().and_then(|rc| rc.split(req.id));
@@ -1033,8 +1052,8 @@ impl ServiceLoop {
                         }
                     }
                 }
-                Ev::Arrive { epoch, idx } => {
-                    let req = &arrivals_by_epoch[epoch as usize][idx as usize];
+                Ev::Arrive { idx } => {
+                    let req = &arrivals[idx as usize];
                     let pi = pair_of(req.client, pairs.len());
                     let (s, c) = pairs[pi];
                     let decision = broker.decide(s, c, now, |n| fleet.group_free(n));
@@ -1207,7 +1226,7 @@ impl ServiceLoop {
         let b1 = broker.stats();
         rows.push(EpochRow {
             epoch: e,
-            arrivals: arrivals_by_epoch[e as usize].len() as u64,
+            arrivals: arrivals.len() as u64,
             overlay: b1.overlay - b0.overlay,
             direct: b1.direct - b0.direct,
             denied: b1.denied - b0.denied,
@@ -1229,7 +1248,7 @@ impl ServiceLoop {
         let lg = self.remote.as_ref().is_some_and(|r| r.ledger);
         while let Some((now, ev)) = self.queue.pop() {
             match ev {
-                Ev::Arrive { .. } => unreachable!("arrivals all lie inside the horizon"),
+                Ev::Arrive { .. } => unreachable!("arrivals are never queued"),
                 Ev::Complete {
                     tenant,
                     slots,

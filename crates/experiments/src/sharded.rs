@@ -190,8 +190,10 @@ pub fn service_sharded_with_ledgers(
     table.build();
     let table = &table;
 
-    // Region loops are built in region order on the calling thread —
-    // construction telemetry lands identically at any lane count.
+    // Region loops are built in region order on the calling thread.
+    // Each loop generates its arrivals epoch by epoch on its lane, so
+    // `control.workload.arrivals` is counted through the lanes' obs
+    // capture and absorbed in shard order — identical at any lane count.
     let states: Vec<ServiceLoop> = (0..cfg.regions)
         .map(|r| {
             ServiceLoop::new(

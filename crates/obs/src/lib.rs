@@ -52,7 +52,7 @@ pub mod sync;
 pub mod trace;
 
 pub use emit::{json_escape, tsv_field, tsv_row, write_tsv, Tsv};
-pub use manifest::{phase, take_phases, PhaseTimer, RunManifest};
+pub use manifest::{peak_rss_kb, phase, take_phases, PhaseTimer, RunManifest};
 pub use metrics::{
     add, add_named, counter, gauge, histogram, histogram_quantile, inc, labeled, observe, set,
     snapshot, CounterId, GaugeId, Histogram, HistogramId, SnapValue, Snapshot, CWND_EDGES,

@@ -4,7 +4,9 @@
 //! topology, run DES, render tables, ...). Wall time is inherently
 //! non-deterministic, so it never enters the metric snapshot — phase
 //! records live only here, in the manifest files, clearly separated from
-//! the deterministic `metric` records.
+//! the deterministic `metric` records. Host measurements of a run (peak
+//! RSS, throughput per wall-second) measure the machine as much as the
+//! run, so they ride on the run's own `phase` record.
 
 use std::cell::RefCell;
 use std::fs;
@@ -61,6 +63,24 @@ pub(crate) fn reset_phases() {
     PHASES.with(|p| p.borrow_mut().clear());
 }
 
+/// The process's peak resident set size in KiB (`VmHWM` from
+/// `/proc/self/status`), or `None` where that file is unavailable
+/// (non-Linux hosts).
+#[must_use]
+pub fn peak_rss_kb() -> Option<u64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    parse_vm_hwm(&status)
+}
+
+/// Extracts the `VmHWM:   123 kB` value from a `/proc/<pid>/status` body.
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    let v = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    v.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 pub use crate::emit::json_escape;
 
 /// Everything needed to identify and reproduce one experiment run.
@@ -74,6 +94,12 @@ pub struct RunManifest {
     pub sim_duration_ns: u64,
     /// Wall-clock phase timings (name, nanoseconds) — non-deterministic.
     pub phases: Vec<(String, u128)>,
+    /// Host measurements of the run (name with its unit, e.g.
+    /// `peak_rss_kb`, and value) — non-deterministic. Rendered as extra
+    /// `name=value` fields of the phase record named after the
+    /// experiment (a bare one if no such phase was timed). Empty unless
+    /// the caller adds them.
+    pub host: Vec<(String, f64)>,
     /// Deterministic metric snapshot at the end of the run.
     pub snapshot: Snapshot,
 }
@@ -88,8 +114,27 @@ impl RunManifest {
             seed,
             sim_duration_ns,
             phases: take_phases(),
+            host: Vec::new(),
             snapshot: crate::metrics::snapshot(),
         }
+    }
+
+    /// The phase rows as `(name, fields)`: each timed phase with its
+    /// `wall_ns`, the host measurements appended to the run's own phase.
+    fn phase_records(&self) -> Vec<(&str, Vec<(&str, String)>)> {
+        let mut rows: Vec<(&str, Vec<(&str, String)>)> = self
+            .phases
+            .iter()
+            .map(|(name, ns)| (name.as_str(), vec![("wall_ns", ns.to_string())]))
+            .collect();
+        if !self.host.is_empty() {
+            let host = self.host.iter().map(|(k, v)| (k.as_str(), v.to_string()));
+            match rows.iter_mut().find(|(name, _)| *name == self.experiment) {
+                Some((_, fields)) => fields.extend(host),
+                None => rows.push((&self.experiment, host.collect())),
+            }
+        }
+        rows
     }
 
     /// Renders as TSV: `run` / `phase` / `metric` record rows.
@@ -102,8 +147,13 @@ impl RunManifest {
             format!("seed={}", self.seed),
             format!("sim_duration_ns={}", self.sim_duration_ns),
         ]);
-        for (name, ns) in &self.phases {
-            out.row(["phase".to_string(), name.clone(), format!("wall_ns={ns}")]);
+        for (name, fields) in self.phase_records() {
+            let cells = fields.iter().map(|(k, v)| format!("{k}={v}"));
+            out.row(
+                ["phase".to_string(), name.to_string()]
+                    .into_iter()
+                    .chain(cells),
+            );
         }
         for line in self.snapshot.to_tsv().lines() {
             // Snapshot rows are already escaped; nest them verbatim.
@@ -123,11 +173,15 @@ impl RunManifest {
             self.seed,
             self.sim_duration_ns
         ));
-        for (name, ns) in &self.phases {
+        for (name, fields) in self.phase_records() {
             out.push_str(&format!(
-                "{{\"record\":\"phase\",\"name\":\"{}\",\"wall_ns\":{ns}}}\n",
+                "{{\"record\":\"phase\",\"name\":\"{}\"",
                 json_escape(name)
             ));
+            for (k, v) in fields {
+                out.push_str(&format!(",\"{}\":{v}", json_escape(k)));
+            }
+            out.push_str("}\n");
         }
         for line in self.snapshot.to_jsonl().lines() {
             out.push_str("{\"record\":\"metric\",");
@@ -209,6 +263,59 @@ mod tests {
         let m2 = RunManifest::collect("d", 1, 0);
         crate::disable();
         assert_eq!(m1.snapshot.to_tsv(), m2.snapshot.to_tsv());
+    }
+
+    #[test]
+    fn host_fields_ride_on_the_runs_phase_record() {
+        let _guard = crate::test_guard();
+        crate::enable();
+        {
+            let _p = phase("build");
+        }
+        {
+            let _p = phase("service");
+        }
+        let mut m = RunManifest::collect("service", 7, 0);
+        crate::disable();
+        m.host.push(("peak_rss_kb".to_string(), 51_200.0));
+        m.host.push(("arrivals_per_s".to_string(), 1.5e6));
+        let tsv = m.to_tsv();
+        let row = tsv
+            .lines()
+            .find(|l| l.starts_with("phase\tservice\t"))
+            .unwrap();
+        assert!(row.starts_with("phase\tservice\twall_ns="), "{row}");
+        assert!(
+            row.ends_with("\tpeak_rss_kb=51200\tarrivals_per_s=1500000"),
+            "{row}"
+        );
+        let build = tsv
+            .lines()
+            .find(|l| l.starts_with("phase\tbuild\t"))
+            .unwrap();
+        assert_eq!(
+            build.split('\t').count(),
+            3,
+            "other phases carry no host fields"
+        );
+        let jsonl = m.to_jsonl();
+        assert!(jsonl.contains(",\"peak_rss_kb\":51200,\"arrivals_per_s\":1500000}\n"));
+
+        // No phase of the run's name: the fields get a bare phase row.
+        m.phases.clear();
+        assert!(m
+            .to_tsv()
+            .contains("\nphase\tservice\tpeak_rss_kb=51200\tarrivals_per_s=1500000\n"));
+    }
+
+    #[test]
+    fn vm_hwm_parses_from_a_status_body() {
+        let body = "Name:\tcronets\nVmPeak:\t  9000 kB\nVmHWM:\t   4321 kB\nVmRSS:\t 100 kB\n";
+        assert_eq!(parse_vm_hwm(body), Some(4321));
+        assert_eq!(parse_vm_hwm("Name:\tx\n"), None);
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_kb().is_some_and(|kb| kb > 0));
+        }
     }
 
     #[test]

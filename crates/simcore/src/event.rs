@@ -260,6 +260,36 @@ impl<E> EventQueue<E> {
         None
     }
 
+    /// The `(time, sequence)` key of the earliest pending event, if any,
+    /// without removing it (cancelled entries at the head are discarded,
+    /// as in [`EventQueue::peek_time`]). Together with
+    /// [`EventQueue::next_seq`] this lets a caller merge an external,
+    /// time-sorted stream into the queue's order without scheduling it:
+    /// an element at `at` that would have been scheduled when the
+    /// counter read `base` goes before the head exactly when
+    /// `at < time || (at == time && seq >= base)`.
+    ///
+    /// ```
+    /// use simcore::{EventQueue, SimTime};
+    /// let mut q = EventQueue::new();
+    /// let h = q.schedule(SimTime::from_nanos(3), "gone");
+    /// q.schedule(SimTime::from_nanos(5), "head");
+    /// q.cancel(h);
+    /// assert_eq!(q.peek_key(), Some((SimTime::from_nanos(5), 1)));
+    /// ```
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        self.peek_time()?;
+        self.heap.first().map(HeapEntry::key)
+    }
+
+    /// The sequence number the next [`EventQueue::schedule`] call will
+    /// assign. Sequence numbers only grow, so every event scheduled from
+    /// now on has a sequence number at least this large.
+    #[must_use]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// `true` if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -322,6 +352,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -512,6 +543,99 @@ mod tests {
         assert_eq!(q.pop_batch(&mut batch), Some(t));
         assert_eq!(batch, vec![2, 3]);
         assert_eq!(q.pop_batch(&mut batch), None);
+    }
+
+    /// Merging a sorted external stream by the `peek_key` / `next_seq`
+    /// rule must reproduce the order of scheduling that stream into the
+    /// queue, across exact-time ties with events scheduled before the
+    /// stream's base, after it (up front and while the merge runs), and
+    /// cancelled ones.
+    #[test]
+    fn merged_stream_matches_scheduled_order() {
+        type Item = (bool, u32); // (is stream element, id or index)
+                                 // Every first-generation delivery schedules a follow-up at the
+                                 // same or a later tick, as an event loop's handlers do.
+        fn react(q: &mut EventQueue<Item>, now: SimTime, (stream, id): Item) {
+            if id < 5000 && id % 2 == 0 {
+                let follow = if stream { 5000 + id } else { 6000 + id };
+                q.schedule(
+                    now + SimDuration::from_nanos(u64::from(id % 3) * 10),
+                    (false, follow),
+                );
+            }
+        }
+        fn schedule_all(
+            q: &mut EventQueue<Item>,
+            evs: &[(SimTime, u32, bool)],
+        ) -> Vec<EventHandle> {
+            evs.iter()
+                .filter_map(|&(t, id, c)| {
+                    let h = q.schedule(t, (false, id));
+                    c.then_some(h)
+                })
+                .collect()
+        }
+        for round in 0..300u64 {
+            let mut rng = crate::SimRng::seed_from(0xA11 + round);
+            // Coarse timestamps make exact-time ties common.
+            let mut draw = |n: usize, id0: u32| -> Vec<(SimTime, u32, bool)> {
+                (0..n)
+                    .map(|i| {
+                        let t = SimTime::from_nanos(rng.index(12) as u64 * 10);
+                        (t, id0 + i as u32, rng.index(4) == 0)
+                    })
+                    .collect()
+            };
+            let before = draw(30, 0);
+            let mut stream: Vec<SimTime> = draw(30, 0).into_iter().map(|e| e.0).collect();
+            stream.sort();
+            let after = draw(30, 1000);
+
+            // Reference: the stream scheduled in order at its base.
+            let mut q = EventQueue::new();
+            let mut cancel = schedule_all(&mut q, &before);
+            for (i, &t) in stream.iter().enumerate() {
+                q.schedule(t, (true, i as u32));
+            }
+            cancel.extend(schedule_all(&mut q, &after));
+            for h in cancel {
+                q.cancel(h);
+            }
+            let mut reference = Vec::new();
+            while let Some((now, item)) = q.pop() {
+                react(&mut q, now, item);
+                reference.push((now, item));
+            }
+
+            // Merge: the stream never enters the queue.
+            let mut q = EventQueue::new();
+            let mut cancel = schedule_all(&mut q, &before);
+            let base = q.next_seq();
+            cancel.extend(schedule_all(&mut q, &after));
+            for h in cancel {
+                q.cancel(h);
+            }
+            let mut merged = Vec::new();
+            let mut next = 0;
+            loop {
+                let take = match (stream.get(next), q.peek_key()) {
+                    (Some(&at), Some((t, seq))) => at < t || (at == t && seq >= base),
+                    (Some(_), None) => true,
+                    (None, _) => false,
+                };
+                let (now, item) = if take {
+                    next += 1;
+                    (stream[next - 1], (true, next as u32 - 1))
+                } else if let Some(ev) = q.pop() {
+                    ev
+                } else {
+                    break;
+                };
+                react(&mut q, now, item);
+                merged.push((now, item));
+            }
+            assert_eq!(merged, reference, "round {round}");
+        }
     }
 
     #[test]

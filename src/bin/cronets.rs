@@ -404,6 +404,29 @@ fn run_instrumented(name: &str, seed: u64, opts: &Opts) -> bool {
     ok
 }
 
+/// Host records of a flow-level engine run: the process's peak RSS and
+/// the workload's arrivals per wall-second of the experiment's phase.
+/// Each is left out when it cannot be measured (no `VmHWM` on this
+/// host, or no arrivals counted).
+fn host_records(name: &str, manifest: &obs::RunManifest) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    if let Some(kb) = obs::peak_rss_kb() {
+        out.push(("peak_rss_kb".to_string(), kb as f64));
+    }
+    let wall_ns = manifest
+        .phases
+        .iter()
+        .find(|(p, _)| p == name)
+        .map(|&(_, ns)| ns);
+    if let (Some(obs::SnapValue::Counter(n)), Some(ns)) = (
+        manifest.snapshot.get("control.workload.arrivals"),
+        wall_ns.filter(|&ns| ns > 0),
+    ) {
+        out.push(("arrivals_per_s".to_string(), *n as f64 * 1e9 / ns as f64));
+    }
+    out
+}
+
 /// The `--metrics` wrapper proper (profiling handled by the caller).
 fn run_with_metrics(name: &str, seed: u64, opts: &Opts) -> bool {
     if !opts.metrics {
@@ -431,12 +454,18 @@ fn run_with_metrics(name: &str, seed: u64, opts: &Opts) -> bool {
         Some(obs::SnapValue::Gauge(g)) => *g as u64,
         _ => 0,
     };
-    let manifest = obs::RunManifest::collect(name, seed, sim_ns);
+    let mut manifest = obs::RunManifest::collect(name, seed, sim_ns);
+    if matches!(name, "service" | "chaos" | "multihop") {
+        manifest.host = host_records(name, &manifest);
+    }
     // The snapshot is deterministic per seed: stdout stays byte-stable.
     print!("{}", manifest.snapshot);
     // Wall time is not: phase timings go to stderr and the manifest only.
     for (phase, ns) in &manifest.phases {
         eprintln!("phase {phase}: {:.3} ms", *ns as f64 / 1e6);
+    }
+    for (record, v) in &manifest.host {
+        eprintln!("host {record}: {v:.0}");
     }
     match manifest.write_to(RESULTS_DIR) {
         Ok((tsv, jsonl)) => println!("wrote {} and {}", tsv.display(), jsonl.display()),
