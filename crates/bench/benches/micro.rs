@@ -255,7 +255,10 @@ fn bench_report_smoke() -> f64 {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("bench scratch dir");
     obs::enable();
+    // Record spans so the report keeps the stream the bench parses.
+    obs::set_span_recording(true);
     let report = chaos(&ChaosConfig::smoke(), 7);
+    obs::set_span_recording(false);
     let manifest = obs::RunManifest::collect("chaos", 7, 0);
     obs::disable();
     manifest.write_to(&dir).expect("manifest");

@@ -6,11 +6,16 @@
 //! every `flow_retry` points at its kill, every `admit` points at the
 //! arrival or retry it served, and every `slo_breach` points at the
 //! completion (or deny-admission) that broke the objective. Attribution
-//! is then a pure parent walk: follow a breach back through
+//! is then a parent walk: follow a breach back through
 //! completion → admission → retry → kill until a `fault_inject` root is
 //! reached. A chain that ends at a plain arrival carried no fault, so
 //! its breach is **unattributed** — explicitly counted, never silently
 //! dropped. The same goes for chains broken by span-ring overwrites.
+//!
+//! The walk runs forward, as the run drains its span ring: the
+//! [`Attributor`] remembers which span ids reach a fault, so each breach
+//! is charged when it is absorbed and the run never holds its whole
+//! stream. [`Attribution::attribute`] is the same walk over one batch.
 //!
 //! When a flow is killed more than once, the walk charges the breach to
 //! the **proximate** (most recent) kill's fault: the last admission in
@@ -87,94 +92,25 @@ pub struct Attribution {
     pub unattributed_breaches: u64,
 }
 
-/// Id → span lookup over the stream. A serial run's stream is strictly
-/// id-ascending (ids are allocated monotonically), so the common case
-/// is a zero-allocation binary search; anything else (hand-assembled or
-/// merged streams) falls back to a hash map.
-enum SpanIndex<'a> {
-    Sorted(&'a [SpanRecord]),
-    Map(HashMap<u64, &'a SpanRecord>),
-}
-
-impl<'a> SpanIndex<'a> {
-    fn build(spans: &'a [SpanRecord]) -> SpanIndex<'a> {
-        if spans.windows(2).all(|w| w[0].id < w[1].id) {
-            SpanIndex::Sorted(spans)
-        } else {
-            SpanIndex::Map(spans.iter().map(|s| (s.id, s)).collect())
-        }
-    }
-
-    fn get(&self, id: u64) -> Option<&'a SpanRecord> {
-        match self {
-            SpanIndex::Sorted(spans) => spans
-                .binary_search_by(|s| s.id.cmp(&id))
-                .ok()
-                .map(|i| &spans[i]),
-            SpanIndex::Map(map) => map.get(&id).copied(),
-        }
-    }
-}
-
 impl Attribution {
-    /// Walks the span stream and builds the per-fault charge table.
+    /// Walks a whole span stream and builds the per-fault charge table:
+    /// one [`Attributor`] absorbing the stream as a single batch.
     #[must_use]
     pub fn attribute(spans: &[SpanRecord]) -> Attribution {
-        let by_id = SpanIndex::build(spans);
-        let mut charges: Vec<FaultCharge> = spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::FaultInject)
-            .map(|s| FaultCharge {
-                fault_idx: s.subject,
-                t_ns: s.t_ns,
-                kind: fault_kind_name(s.a),
-                target: s.b,
-                killed: 0,
-                bytes_lost: 0,
-                breaches: 0,
-            })
-            .collect();
-        charges.sort_by_key(|c| c.fault_idx);
-        let slot: HashMap<u64, usize> = charges
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.fault_idx, i))
-            .collect();
-        let mut out = Attribution {
-            charges,
-            ..Attribution::default()
-        };
+        let mut a = Attributor::default();
+        a.absorb(spans);
+        a.finish()
+    }
 
-        for s in spans {
-            match s.kind {
-                SpanKind::FlowKill => {
-                    // A kill's parent IS the fault span.
-                    match by_id
-                        .get(s.parent)
-                        .filter(|p| p.kind == SpanKind::FaultInject)
-                    {
-                        Some(fault) => {
-                            let i = slot[&fault.subject];
-                            out.charges[i].killed += 1;
-                            out.charges[i].bytes_lost += s.a;
-                        }
-                        None => {
-                            out.unattributed_killed += 1;
-                            out.unattributed_bytes_lost += s.a;
-                        }
-                    }
-                }
-                SpanKind::SloBreach => {
-                    let weight = breach_weight(s.b);
-                    match root_fault(s, &by_id) {
-                        Some(fault_idx) => out.charges[slot[&fault_idx]].breaches += weight,
-                        None => out.unattributed_breaches += weight,
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+    /// Appends another run's charge table: its rows follow this one's
+    /// and the unattributed counts add up. The sharded chaos fabric
+    /// merges its regions' tables this way, in region order, so every
+    /// region's faults keep their own rows.
+    pub fn absorb(&mut self, other: &Attribution) {
+        self.charges.extend_from_slice(&other.charges);
+        self.unattributed_killed += other.unattributed_killed;
+        self.unattributed_bytes_lost += other.unattributed_bytes_lost;
+        self.unattributed_breaches += other.unattributed_breaches;
     }
 
     /// Total kills charged to fault events.
@@ -226,25 +162,94 @@ impl Attribution {
     }
 }
 
-/// Walks one breach's causal chain to its fault root, if any: breach →
-/// completion/denied-admit → admit → retry → kill → fault. Returns the
-/// fault's schedule index. `None` when the chain ends at a plain
-/// arrival (no fault involved) or breaks at a missing span.
-fn root_fault(breach: &SpanRecord, by_id: &SpanIndex<'_>) -> Option<u64> {
-    let mut at = by_id.get(breach.parent)?;
-    // Bounded walk: chains are short (≤ 5 hops), but a defensive cap
-    // keeps a malformed stream from looping.
-    for _ in 0..16 {
-        match at.kind {
-            SpanKind::FaultInject => return Some(at.subject),
-            SpanKind::FlowComplete | SpanKind::Admit | SpanKind::FlowRetry | SpanKind::FlowKill => {
-                at = by_id.get(at.parent)?;
+/// Incremental attribution over a span stream that arrives in drained
+/// batches. It keeps only the fault spans and the ids of spans whose
+/// causal chain reaches one (kill → retry → admit → completion), so a
+/// breach is charged the moment it is absorbed and memory follows the
+/// faults' reach, not the stream's length. Parents precede children in
+/// every emitted stream, which is all the walk needs: a span whose
+/// parent was never absorbed (or was overwritten in the ring) roots no
+/// chain.
+#[derive(Debug, Default)]
+pub struct Attributor {
+    /// Charge rows in stream order (sorted by fault index at finish).
+    out: Attribution,
+    /// `fault_inject` span id → its charge row.
+    faults: HashMap<u64, usize>,
+    /// Id of a walkable span (completion, admission, retry, kill) whose
+    /// chain reaches a fault → that fault's charge row.
+    reached: HashMap<u64, usize>,
+}
+
+impl Attributor {
+    /// Charges one drained batch; batches must arrive in stream order.
+    pub fn absorb(&mut self, spans: &[SpanRecord]) {
+        for s in spans {
+            match s.kind {
+                SpanKind::FaultInject => {
+                    self.faults.insert(s.id, self.out.charges.len());
+                    self.out.charges.push(FaultCharge {
+                        fault_idx: s.subject,
+                        t_ns: s.t_ns,
+                        kind: fault_kind_name(s.a),
+                        target: s.b,
+                        killed: 0,
+                        bytes_lost: 0,
+                        breaches: 0,
+                    });
+                }
+                SpanKind::FlowKill => {
+                    // A kill's parent IS the fault span.
+                    match self.faults.get(&s.parent) {
+                        Some(&row) => {
+                            self.out.charges[row].killed += 1;
+                            self.out.charges[row].bytes_lost += s.a;
+                        }
+                        None => {
+                            self.out.unattributed_killed += 1;
+                            self.out.unattributed_bytes_lost += s.a;
+                        }
+                    }
+                    self.extend_chain(s);
+                }
+                SpanKind::FlowComplete | SpanKind::Admit | SpanKind::FlowRetry => {
+                    self.extend_chain(s);
+                }
+                SpanKind::SloBreach => {
+                    let weight = breach_weight(s.b);
+                    match self.root(s.parent) {
+                        Some(row) => self.out.charges[row].breaches += weight,
+                        None => self.out.unattributed_breaches += weight,
+                    }
+                }
+                // Faultless roots: chains through them reach no fault.
+                SpanKind::FlowArrive | SpanKind::FleetScale => {}
             }
-            // Chain reached a faultless root.
-            SpanKind::FlowArrive | SpanKind::SloBreach | SpanKind::FleetScale => return None,
         }
     }
-    None
+
+    /// The charge row of the fault that span `id` is or descends from.
+    fn root(&self, id: u64) -> Option<usize> {
+        self.faults
+            .get(&id)
+            .or_else(|| self.reached.get(&id))
+            .copied()
+    }
+
+    /// Records that a walkable span continues its parent's chain.
+    fn extend_chain(&mut self, s: &SpanRecord) {
+        if let Some(row) = self.root(s.parent) {
+            self.reached.insert(s.id, row);
+        }
+    }
+
+    /// The charge table, one row per fault in schedule order.
+    #[must_use]
+    pub fn finish(self) -> Attribution {
+        let mut out = self.out;
+        out.charges.sort_by_key(|c| c.fault_idx);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -329,6 +334,147 @@ mod tests {
         assert_eq!(a.unattributed_breaches, 1);
         assert_eq!(a.unattributed_killed, 1);
         assert_eq!(a.unattributed_bytes_lost, 50);
+    }
+
+    /// The whole-stream walk the incremental attributor replaced: index
+    /// every span by id, then walk each breach's parents to a fault.
+    fn reference_walk(spans: &[SpanRecord]) -> Attribution {
+        let by_id: HashMap<u64, &SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
+        let root = |breach: &SpanRecord| -> Option<u64> {
+            let mut at = by_id.get(&breach.parent)?;
+            for _ in 0..16 {
+                match at.kind {
+                    SpanKind::FaultInject => return Some(at.subject),
+                    SpanKind::FlowComplete
+                    | SpanKind::Admit
+                    | SpanKind::FlowRetry
+                    | SpanKind::FlowKill => at = by_id.get(&at.parent)?,
+                    _ => return None,
+                }
+            }
+            None
+        };
+        let mut out = Attribution::default();
+        for s in spans.iter().filter(|s| s.kind == SpanKind::FaultInject) {
+            out.charges.push(FaultCharge {
+                fault_idx: s.subject,
+                t_ns: s.t_ns,
+                kind: fault_kind_name(s.a),
+                target: s.b,
+                killed: 0,
+                bytes_lost: 0,
+                breaches: 0,
+            });
+        }
+        out.charges.sort_by_key(|c| c.fault_idx);
+        let row = |idx: u64| {
+            out.charges
+                .iter()
+                .position(|c| c.fault_idx == idx)
+                .expect("a fault row per schedule index")
+        };
+        let mut charges = out.charges.clone();
+        for s in spans {
+            match s.kind {
+                SpanKind::FlowKill => match by_id
+                    .get(&s.parent)
+                    .filter(|p| p.kind == SpanKind::FaultInject)
+                {
+                    Some(f) => {
+                        charges[row(f.subject)].killed += 1;
+                        charges[row(f.subject)].bytes_lost += s.a;
+                    }
+                    None => {
+                        out.unattributed_killed += 1;
+                        out.unattributed_bytes_lost += s.a;
+                    }
+                },
+                SpanKind::SloBreach => match root(s) {
+                    Some(idx) => charges[row(idx)].breaches += breach_weight(s.b),
+                    None => out.unattributed_breaches += breach_weight(s.b),
+                },
+                _ => {}
+            }
+        }
+        out.charges = charges;
+        out
+    }
+
+    /// Absorbs `spans` in batches cut at `cuts` (sorted offsets).
+    fn in_batches(spans: &[SpanRecord], cuts: &[usize]) -> Attribution {
+        let mut a = Attributor::default();
+        let mut from = 0;
+        for &to in cuts.iter().chain(std::iter::once(&spans.len())) {
+            a.absorb(&spans[from..to]);
+            from = to;
+        }
+        a.finish()
+    }
+
+    #[test]
+    fn batch_boundaries_do_not_move_a_charge() {
+        let spans = sample_stream();
+        let whole = Attribution::attribute(&spans).to_tsv();
+        assert_eq!(whole, reference_walk(&spans).to_tsv());
+        for cut in 0..=spans.len() {
+            assert_eq!(in_batches(&spans, &[cut]).to_tsv(), whole, "cut at {cut}");
+        }
+        let singles: Vec<usize> = (1..spans.len()).collect();
+        assert_eq!(in_batches(&spans, &singles).to_tsv(), whole);
+    }
+
+    /// Real chaos streams — the smoke day at every golden seed — split
+    /// at random batch points attribute exactly like the whole-stream
+    /// walk.
+    #[test]
+    fn smoke_streams_split_anywhere_attribute_like_the_whole_walk() {
+        let cfg = crate::chaos::ChaosConfig::smoke();
+        for seed in [7u64, 11, 13] {
+            let r = crate::chaos::tests::recorded(|| crate::chaos::chaos(&cfg, seed));
+            assert_eq!(r.span_dropped, 0);
+            let whole = reference_walk(&r.spans).to_tsv();
+            assert_eq!(r.attribution.to_tsv(), whole, "seed {seed}: streamed run");
+            let mut rng = simcore::SimRng::seed_from(seed);
+            for round in 0..8 {
+                let mut cuts: Vec<usize> = (0..1 + rng.index(40))
+                    .map(|_| rng.index(r.spans.len() + 1))
+                    .collect();
+                cuts.sort_unstable();
+                assert_eq!(
+                    in_batches(&r.spans, &cuts).to_tsv(),
+                    whole,
+                    "seed {seed} round {round}: cuts {cuts:?}"
+                );
+            }
+        }
+    }
+
+    /// The full paper chaos day drops no span, so its retained stream is
+    /// complete, and the table built as the ring drained equals the walk
+    /// over that whole stream.
+    #[test]
+    fn paper_day_attributes_the_same_streamed_as_retained() {
+        let r = crate::chaos::tests::recorded(|| {
+            crate::chaos::chaos(&crate::chaos::ChaosConfig::paper(), 7)
+        });
+        assert_eq!(r.span_dropped, 0, "the ring wrapped");
+        assert_eq!(r.spans.len() as u64, r.span_count);
+        assert_eq!(
+            r.attribution.to_tsv(),
+            Attribution::attribute(&r.spans).to_tsv()
+        );
+        assert_eq!(r.attribution.attributed_killed(), r.killed);
+    }
+
+    #[test]
+    fn absorbing_tables_concatenates_rows_and_sums_the_rest() {
+        let mut a = Attribution::attribute(&sample_stream());
+        let b = a.clone();
+        a.absorb(&b);
+        assert_eq!(a.charges.len(), 2);
+        assert_eq!(a.charges[0], a.charges[1]);
+        assert_eq!(a.unattributed_breaches, 2);
+        assert_eq!(a.attributed_killed(), 2);
     }
 
     #[test]

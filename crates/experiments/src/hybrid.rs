@@ -59,8 +59,9 @@ use transport::hybrid::HybridSim;
 use transport::model::TcpParams;
 use transport::Fidelity;
 
-use crate::attribution::Attribution;
-use crate::chaos::{availability_by_epoch, sync_states, ChaosConfig, ChaosReport, ChaosRow};
+use crate::chaos::{
+    availability_by_epoch, sync_states, ChaosConfig, ChaosReport, ChaosRow, SpanTap,
+};
 use crate::mptcp_exp::{prepared_pairs, MptcpExpConfig};
 use crate::scenario::World;
 use crate::service::{
@@ -1002,11 +1003,7 @@ impl ChaosRun<'_> {
 /// analytically, and severe link degradations exercise incremental
 /// route repair on the warmed cache.
 pub(crate) fn chaos_hybrid(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
-    let was_recording = obs::span_recording();
-    obs::reset_spans();
-    obs::set_span_recording(true);
-    let mut spans: Vec<obs::SpanRecord> = Vec::new();
-    let mut span_dropped: u64 = 0;
+    let mut tap = SpanTap::start(obs::span_recording());
 
     let svc = &cfg.service;
     assert!(svc.probe_every >= 1, "probe_every must be at least 1");
@@ -1131,6 +1128,7 @@ pub(crate) fn chaos_hybrid(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
             run.admit(
                 flow, sy.tenant, sy.pair, sy.bytes, now, now, 0, &truth_r, true,
             );
+            tap.relieve();
         }
         run.drain_side(
             epoch_end_ns,
@@ -1194,20 +1192,14 @@ pub(crate) fn chaos_hybrid(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
             run.ep_failover_ns = 0;
             run.ep_failover_n = 0;
 
-            let (drained, dropped) = obs::drain_spans();
-            spans.extend(drained);
-            span_dropped += dropped;
+            tap.drain();
         }
     }
     // End-of-run checks carry no span; stamp them with the horizon.
     run.inv.context(SimTime::ZERO + svc.workload.horizon(), 0);
     run.inv.finish();
 
-    let (drained, dropped) = obs::drain_spans();
-    spans.extend(drained);
-    span_dropped += dropped;
-    obs::set_span_recording(was_recording);
-    let attribution = Attribution::attribute(&spans);
+    let spans = tap.finish();
 
     publish_broker(&run.stats);
     run.fleet.publish();
@@ -1222,7 +1214,7 @@ pub(crate) fn chaos_hybrid(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
     obs::add_named("faults.cache_poisonings", fault_counts.poisons);
     obs::add_named("faults.flows_killed", run.killed_total);
     obs::add_named("faults.retries", run.retries_total);
-    obs::add_named("obs.spans_dropped", span_dropped);
+    obs::add_named("obs.spans_dropped", spans.dropped);
     // Invariant check-site hit counts: the fuzzer's coverage map keys
     // on which checks a schedule actually reached.
     for (site, n) in run.inv.site_counts() {
@@ -1245,9 +1237,10 @@ pub(crate) fn chaos_hybrid(cfg: &ChaosConfig, seed: u64) -> ChaosReport {
         budget_usd: svc.fleet.budget_usd,
         invariant_violations: run.inv.violations().to_vec(),
         slo: run.led.slo,
-        spans,
-        span_dropped,
-        attribution,
+        spans: spans.spans,
+        span_count: spans.count,
+        span_dropped: spans.dropped,
+        attribution: spans.attribution,
     }
 }
 
@@ -1643,8 +1636,9 @@ mod tests {
 
     #[test]
     fn hybrid_chaos_is_deterministic() {
-        let a = chaos(&tiny_chaos_cfg(), 5);
-        let b = chaos(&tiny_chaos_cfg(), 5);
+        let a = crate::chaos::tests::recorded(|| chaos(&tiny_chaos_cfg(), 5));
+        let b = crate::chaos::tests::recorded(|| chaos(&tiny_chaos_cfg(), 5));
+        assert!(!a.spans.is_empty());
         assert_eq!(a.to_tsv(), b.to_tsv());
         let dump = |r: &ChaosReport| {
             r.spans

@@ -36,7 +36,7 @@ use cronets::eval::{modes_from_segments, quality, Measurement, OverlayEval, Pair
 use cronets::select::{achieved, PathChoice};
 use paths::{relay_hop_price_per_gb, ArmEval, BanditConfig, Candidate, EnumerateConfig, Hops};
 use routing::{NodeAddr, RouteCache, RouterPath};
-use simcore::{EventQueue, SimDuration, SimTime};
+use simcore::{EventQueue, Merged, SimDuration, SimTime};
 use topology::RouterId;
 use transport::model::tcp_throughput;
 use transport::Fidelity;
@@ -961,21 +961,16 @@ impl ServiceLoop {
         }
 
         let mut next = 0u32;
-        loop {
-            let head = queue.peek_key();
-            let arrive = match (arrivals.get(next as usize), head) {
-                (Some(req), Some((t, seq))) => req.at < t || (req.at == t && seq >= base),
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            let (now, ev) = if arrive {
-                let idx = next;
-                next += 1;
-                (arrivals[idx as usize].at, Ev::Arrive { idx })
-            } else if head.is_some_and(|(t, _)| t < epoch_end) {
-                queue.pop().expect("the peeked head is live")
-            } else {
-                break;
+        while let Some(step) =
+            queue.pop_merged(arrivals.get(next as usize).map(|r| r.at), base, epoch_end)
+        {
+            let (now, ev) = match step {
+                Merged::Stream => {
+                    let idx = next;
+                    next += 1;
+                    (arrivals[idx as usize].at, Ev::Arrive { idx })
+                }
+                Merged::Queue(t, ev) => (t, ev),
             };
             match ev {
                 Ev::Arrive { idx } if multihop => {

@@ -366,8 +366,8 @@ pub fn chaos_planetary(smoke: bool) -> (ChaosConfig, u32) {
 
 /// Runs `regions` independent regional chaos loops on `shards` worker
 /// lanes and folds them into one global report: counters absorb in
-/// region order, spans re-base onto one id stream, and attribution is
-/// recomputed over the merged stream. Regional faults stay regional —
+/// region order, kept spans re-base onto one id stream, and the
+/// regions' attribution tables concatenate. Regional faults stay regional —
 /// chaos shards share no flows, so the fan-out is pure; the global
 /// layer is the merge. Deterministic in `(cfg, regions, seed)` at any
 /// `(shards, threads)`; one region defers to the classic [`chaos`].
@@ -386,6 +386,9 @@ pub fn chaos_sharded(cfg: &ChaosConfig, regions: u32, seed: u64, shards: usize) 
     if regions == 1 {
         return chaos(cfg, seed);
     }
+    // The recording flag is per thread: the caller's decision to keep
+    // spans travels to the lane threads explicitly.
+    let keep_spans = obs::span_recording();
     let states: Vec<Option<ChaosReport>> = (0..regions).map(|_| None).collect();
     let states = exec::shard_rounds(
         states,
@@ -399,6 +402,7 @@ pub fn chaos_sharded(cfg: &ChaosConfig, regions: u32, seed: u64, shards: usize) 
                 rseed,
                 &schedule,
                 &format!("control.shard{r}."),
+                keep_spans,
             ));
             Vec::new()
         },
@@ -412,9 +416,11 @@ pub fn chaos_sharded(cfg: &ChaosConfig, regions: u32, seed: u64, shards: usize) 
 }
 
 /// Folds per-region [`ChaosReport`]s into the global report and
-/// publishes the merged `control.*` rollup. Span ids re-base onto one
-/// contiguous stream (region order, roots stay roots) so the merged
-/// attribution walk sees every region's causal chains.
+/// publishes the merged `control.*` rollup. Kept span ids re-base onto
+/// one contiguous stream (region order, roots stay roots). Attribution
+/// is per region — schedule indices repeat across regions, so a walk
+/// over the merged stream could not tell their faults apart — and the
+/// tables concatenate in region order.
 fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosReport {
     let epochs = reports[0].rows.len();
     let regions = reports.len();
@@ -472,7 +478,9 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
     let mut killed = 0u64;
     let mut retries = 0u64;
     let mut completed = 0u64;
+    let mut span_count = 0u64;
     let mut span_dropped = 0u64;
+    let mut attribution = Attribution::default();
     let mut violations = Vec::new();
     let mut spans = Vec::new();
     let mut off = 0u64;
@@ -493,7 +501,9 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
         killed += rep.killed;
         retries += rep.retries;
         completed += rep.completed;
+        span_count += rep.span_count;
         span_dropped += rep.span_dropped;
+        attribution.absorb(&rep.attribution);
         violations.extend(rep.invariant_violations.iter().cloned());
         // Re-base this region's span ids past everything merged so far;
         // parent 0 (a root) stays a root.
@@ -511,7 +521,6 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
     }
     let slo = slo.expect("at least one region");
     let spend_usd = merge_spend_bits(reports.iter().map(|rep| rep.spend_usd.to_bits()));
-    let attribution = Attribution::attribute(&spans);
 
     publish_broker_stats("control.", &broker);
     publish_fleet_stats("control.", &fleet);
@@ -535,6 +544,7 @@ fn merge_chaos_reports(cfg: &ChaosConfig, reports: &[ChaosReport]) -> ChaosRepor
         budget_usd: cfg.service.fleet.budget_usd * regions as f64,
         invariant_violations: violations,
         spans,
+        span_count,
         span_dropped,
         attribution,
     }
@@ -643,9 +653,14 @@ mod tests {
         cfg.service.workload.epochs = 4;
         cfg.service.workload.diurnal_period = cfg.service.workload.epoch * 4;
         cfg.faults.horizon = cfg.service.workload.horizon();
-        let base = chaos_sharded(&cfg, 3, 7, 1);
+        let base = crate::chaos::tests::recorded(|| chaos_sharded(&cfg, 3, 7, 1));
+        assert_eq!(base.spans.len() as u64, base.span_count, "lanes keep spans");
         for shards in [2, 3] {
-            let r = chaos_sharded(&cfg, 3, 7, shards);
+            let r = crate::chaos::tests::recorded(|| chaos_sharded(&cfg, 3, 7, shards));
+            assert_eq!(
+                r.spans, base.spans,
+                "shards={shards}: lane threads keep spans"
+            );
             assert_eq!(r.to_tsv(), base.to_tsv(), "shards={shards}");
             assert_eq!(format!("{r}"), format!("{base}"), "shards={shards}");
         }
@@ -669,5 +684,34 @@ mod tests {
             base.attribution.attributed_killed() + base.attribution.unattributed_killed,
             base.killed
         );
+    }
+
+    /// Schedule indices repeat in every region, so the merged table must
+    /// be the regions' own tables back to back: each merged row equals
+    /// its region's row, and the unattributed counts add up.
+    #[test]
+    fn sharded_chaos_attribution_keeps_every_regions_rows() {
+        let (mut cfg, _) = chaos_planetary(true);
+        cfg.service.workload.epochs = 4;
+        cfg.service.workload.diurnal_period = cfg.service.workload.epoch * 4;
+        cfg.faults.horizon = cfg.service.workload.horizon();
+        let regions = 3u32;
+        let merged = chaos_sharded(&cfg, regions, 11, 2).attribution;
+        let mut rows = merged.charges.iter();
+        let (mut killed, mut breaches) = (0, 0);
+        for r in 0..regions {
+            let rseed = region_seed(11, r);
+            let schedule = faults::FaultSchedule::generate(&cfg.faults, rseed);
+            let own = chaos_with_schedule_prefixed(&cfg, rseed, &schedule, "t.", false).attribution;
+            assert!(!own.charges.is_empty(), "region {r} injected no faults");
+            for c in &own.charges {
+                assert_eq!(rows.next(), Some(c), "region {r} fault {}", c.fault_idx);
+            }
+            killed += own.unattributed_killed;
+            breaches += own.unattributed_breaches;
+        }
+        assert_eq!(rows.next(), None, "merged table has extra rows");
+        assert_eq!(merged.unattributed_killed, killed);
+        assert_eq!(merged.unattributed_breaches, breaches);
     }
 }

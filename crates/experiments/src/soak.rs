@@ -440,8 +440,8 @@ pub fn soak(
         let r = chaos_with_schedule(&dc, dseed, &schedule);
 
         // Ledger compaction: the day's account folds into the running
-        // one; the day report (and its spans) drop here, keeping
-        // memory flat across the week.
+        // one; the day report drops here (it holds no spans: the soak
+        // does not record them), keeping memory flat across the week.
         slo.merge(&r.slo);
         let availability = if r.rows.is_empty() {
             1.0

@@ -25,6 +25,12 @@
 //! is self-describing: the report names *when* the invariant broke and
 //! *which* span to look up in the causal stream.
 //!
+//! The checker holds only live flows: a flow leaves its map the moment
+//! it turns terminal, and its id moves to a compact append-only list
+//! that is read only when a report names a flow the map does not hold.
+//! Memory therefore follows the flows in flight, not the length of the
+//! run, and every verdict is the one a never-forgetting map would give.
+//!
 //! The checker also counts how often each of its check sites fired
 //! ([`Invariants::site_counts`]); the fuzzer's coverage map keys on
 //! these counts alongside the broker and fleet counters.
@@ -192,11 +198,11 @@ const SITE_RELAY_CRASHED: usize = 7;
 const SITE_RELAY_RESTORED: usize = 8;
 const SITE_FINISH: usize = 9;
 
+/// A live (requested, not yet terminal) flow's byte ledger.
 #[derive(Debug, Clone, Copy)]
 struct FlowTrack {
     requested: u64,
     accounted: u64,
-    terminal: bool,
 }
 
 /// Accumulating invariant checker. See the module docs for the
@@ -206,7 +212,12 @@ pub struct Invariants {
     relay_state: Vec<RelayState>,
     down_since: Vec<Option<SimTime>>,
     mttr_cap: SimDuration,
+    /// Live flows only; a terminal flow moves to `retired`.
     flows: HashMap<u64, FlowTrack>,
+    /// Ids of flows that reached a terminal state, in retirement order.
+    /// Consulted only when a report misses `flows`, which a correct run
+    /// never does, so the linear scan stays off the hot path.
+    retired: Vec<u64>,
     violations: Vec<Violation>,
     ctx_at: SimTime,
     ctx_span: u64,
@@ -224,6 +235,7 @@ impl Invariants {
             down_since: vec![None; relays],
             mttr_cap,
             flows: HashMap::new(),
+            retired: Vec::new(),
             violations: Vec::new(),
             ctx_at: SimTime::ZERO,
             ctx_span: 0,
@@ -257,7 +269,29 @@ impl Invariants {
         self.relay_state[relay] = state;
     }
 
-    /// A new flow asked for `bytes` bytes of transfer.
+    /// Whether `flow` reached a terminal state earlier (and was not
+    /// requested again since: a live entry shadows a retired id).
+    fn is_retired(&self, flow: u64) -> bool {
+        self.retired.contains(&flow)
+    }
+
+    /// Moves a flow that just turned terminal out of the live map.
+    fn retire(&mut self, flow: u64) -> Option<FlowTrack> {
+        let t = self.flows.remove(&flow)?;
+        self.retired.push(flow);
+        Some(t)
+    }
+
+    /// Flows requested and not yet terminal: the checker's live map.
+    /// A loop that reports every lifecycle step holds exactly this many
+    /// flows in flight (admitted or awaiting a retry).
+    #[must_use]
+    pub fn live_flows(&self) -> usize {
+        self.flows.len()
+    }
+
+    /// A new flow asked for `bytes` bytes of transfer. Requesting an id
+    /// again starts a fresh ledger for it, terminal or not.
     pub fn flow_requested(&mut self, flow: u64, bytes: u64) {
         self.sites[SITE_FLOW_REQUESTED] += 1;
         self.flows.insert(
@@ -265,7 +299,6 @@ impl Invariants {
             FlowTrack {
                 requested: bytes,
                 accounted: 0,
-                terminal: false,
             },
         );
     }
@@ -273,14 +306,15 @@ impl Invariants {
     /// The flow was admitted; `relay` is `Some(slot)` for overlay
     /// routing, `None` for the direct path. Admission to anything but
     /// an `Active` slot is a violation — drained, crashed, and released
-    /// slots must receive no new flows.
+    /// slots must receive no new flows. A terminal flow's admission is
+    /// still checked against the relay but changes nothing else.
     pub fn flow_admitted(&mut self, flow: u64, relay: Option<usize>) {
         self.sites[if relay.is_some() {
             SITE_ADMIT_RELAY
         } else {
             SITE_ADMIT_DIRECT
         }] += 1;
-        if !self.flows.contains_key(&flow) {
+        if !self.flows.contains_key(&flow) && !self.is_retired(flow) {
             self.report(InvariantViolation::UnknownFlow { flow });
             return;
         }
@@ -312,12 +346,14 @@ impl Invariants {
     }
 
     /// A fault killed the flow mid-transfer after `delivered` bytes; a
-    /// retry segment is expected to carry the rest.
+    /// retry segment is expected to carry the rest. Killing a terminal
+    /// flow is a no-op: its ledger is closed.
     pub fn flow_killed(&mut self, flow: u64, delivered: u64) {
         self.sites[SITE_FLOW_KILLED] += 1;
-        match self.flows.get_mut(&flow) {
-            Some(t) => t.accounted += delivered,
-            None => self.report(InvariantViolation::UnknownFlow { flow }),
+        if let Some(t) = self.flows.get_mut(&flow) {
+            t.accounted += delivered;
+        } else if !self.is_retired(flow) {
+            self.report(InvariantViolation::UnknownFlow { flow });
         }
     }
 
@@ -325,21 +361,15 @@ impl Invariants {
     /// Checks terminal-once (double billing) and byte conservation.
     pub fn flow_completed(&mut self, flow: u64, segment: u64) {
         self.sites[SITE_FLOW_COMPLETED] += 1;
-        let Some(t) = self.flows.get_mut(&flow) else {
-            self.report(InvariantViolation::UnknownFlow { flow });
+        let Some(t) = self.retire(flow) else {
+            self.terminal_miss(flow);
             return;
         };
-        if t.terminal {
-            self.report(InvariantViolation::DoubleBilling { flow });
-            return;
-        }
-        t.terminal = true;
-        t.accounted += segment;
-        if t.accounted != t.requested {
-            let (expected, accounted) = (t.requested, t.accounted);
+        let accounted = t.accounted + segment;
+        if accounted != t.requested {
             self.report(InvariantViolation::BytesNotConserved {
                 flow,
-                expected,
+                expected: t.requested,
                 accounted,
             });
         }
@@ -348,14 +378,18 @@ impl Invariants {
     /// The flow was denied admission (terminal, no bytes move).
     pub fn flow_denied(&mut self, flow: u64) {
         self.sites[SITE_FLOW_DENIED] += 1;
-        let Some(t) = self.flows.get_mut(&flow) else {
-            self.report(InvariantViolation::UnknownFlow { flow });
-            return;
-        };
-        let already_terminal = t.terminal;
-        t.terminal = true;
-        if already_terminal {
+        if self.retire(flow).is_none() {
+            self.terminal_miss(flow);
+        }
+    }
+
+    /// A terminal report for a flow not in the live map: billing it a
+    /// second time if it already retired, unknown otherwise.
+    fn terminal_miss(&mut self, flow: u64) {
+        if self.is_retired(flow) {
             self.report(InvariantViolation::DoubleBilling { flow });
+        } else {
+            self.report(InvariantViolation::UnknownFlow { flow });
         }
     }
 
@@ -474,6 +508,171 @@ mod tests {
             inv.kinds(),
             vec![InvariantViolation::DoubleBilling { flow: 7 }]
         );
+    }
+
+    #[test]
+    fn deny_after_complete_is_double_billing() {
+        let mut inv = Invariants::new(1, SimDuration::from_secs(60));
+        inv.flow_requested(7, 10);
+        inv.flow_completed(7, 10);
+        inv.flow_denied(7);
+        inv.flow_denied(8);
+        assert_eq!(
+            inv.kinds(),
+            vec![
+                InvariantViolation::DoubleBilling { flow: 7 },
+                InvariantViolation::UnknownFlow { flow: 8 },
+            ]
+        );
+    }
+
+    #[test]
+    fn admit_and_kill_after_terminal_change_nothing() {
+        let mut inv = Invariants::new(2, SimDuration::from_secs(60));
+        inv.set_relay_state(0, RelayState::Active);
+        inv.flow_requested(4, 100);
+        inv.flow_denied(4);
+        // Known (retired) flow: no unknown-flow report, kill is a no-op.
+        inv.flow_admitted(4, Some(0));
+        inv.flow_killed(4, 60);
+        assert!(inv.violations().is_empty(), "{:?}", inv.violations());
+        // The relay check still runs on a retired flow's admission.
+        inv.flow_admitted(4, Some(1));
+        assert_eq!(
+            inv.kinds(),
+            vec![InvariantViolation::FlowOnUnavailableRelay {
+                flow: 4,
+                relay: 1,
+                state: RelayState::Released,
+            }]
+        );
+        assert_eq!(inv.live_flows(), 0, "terminal flows leave the live map");
+    }
+
+    #[test]
+    fn a_retired_id_requested_again_starts_a_fresh_ledger() {
+        let mut inv = Invariants::new(1, SimDuration::from_secs(60));
+        inv.flow_requested(5, 100);
+        inv.flow_killed(5, 30);
+        inv.flow_completed(5, 70);
+        inv.flow_requested(5, 50);
+        assert_eq!(inv.live_flows(), 1);
+        inv.flow_completed(5, 50);
+        inv.flow_completed(5, 50);
+        assert_eq!(
+            inv.kinds(),
+            vec![InvariantViolation::DoubleBilling { flow: 5 }]
+        );
+    }
+
+    /// The never-forgetting checker the live map replaced: every flow
+    /// stays in one map with a terminal flag. Verdicts must match it.
+    #[derive(Default)]
+    struct Reference {
+        flows: HashMap<u64, (u64, u64, bool)>,
+        kinds: Vec<InvariantViolation>,
+    }
+
+    impl Reference {
+        fn requested(&mut self, flow: u64, bytes: u64) {
+            self.flows.insert(flow, (bytes, 0, false));
+        }
+        fn admitted(&mut self, flow: u64, relay: Option<usize>, states: &[RelayState]) {
+            if !self.flows.contains_key(&flow) {
+                self.kinds.push(InvariantViolation::UnknownFlow { flow });
+                return;
+            }
+            if let Some(r) = relay {
+                if states[r] != RelayState::Active {
+                    self.kinds.push(InvariantViolation::FlowOnUnavailableRelay {
+                        flow,
+                        relay: r,
+                        state: states[r],
+                    });
+                }
+            }
+        }
+        fn killed(&mut self, flow: u64, delivered: u64) {
+            match self.flows.get_mut(&flow) {
+                Some(t) => t.1 += delivered,
+                None => self.kinds.push(InvariantViolation::UnknownFlow { flow }),
+            }
+        }
+        fn completed(&mut self, flow: u64, segment: u64) {
+            let Some(t) = self.flows.get_mut(&flow) else {
+                self.kinds.push(InvariantViolation::UnknownFlow { flow });
+                return;
+            };
+            if t.2 {
+                self.kinds.push(InvariantViolation::DoubleBilling { flow });
+                return;
+            }
+            t.2 = true;
+            t.1 += segment;
+            if t.1 != t.0 {
+                let (expected, accounted) = (t.0, t.1);
+                self.kinds.push(InvariantViolation::BytesNotConserved {
+                    flow,
+                    expected,
+                    accounted,
+                });
+            }
+        }
+        fn denied(&mut self, flow: u64) {
+            let Some(t) = self.flows.get_mut(&flow) else {
+                self.kinds.push(InvariantViolation::UnknownFlow { flow });
+                return;
+            };
+            let was = std::mem::replace(&mut t.2, true);
+            if was {
+                self.kinds.push(InvariantViolation::DoubleBilling { flow });
+            }
+        }
+    }
+
+    /// Random lifecycle reports over a handful of ids — out of order,
+    /// repeated, after terminal, re-requested — give the reference's
+    /// verdicts in the same order.
+    #[test]
+    fn retiring_terminal_flows_keeps_every_verdict() {
+        let states = [RelayState::Active, RelayState::Draining];
+        for round in 0..200u64 {
+            let mut rng = simcore::SimRng::seed_from(0x5EED + round);
+            let mut inv = Invariants::new(2, SimDuration::from_secs(60));
+            inv.set_relay_state(0, states[0]);
+            inv.set_relay_state(1, states[1]);
+            let mut reference = Reference::default();
+            for _ in 0..60 {
+                let flow = rng.index(6) as u64;
+                let bytes = 10 * (1 + rng.index(3) as u64);
+                match rng.index(5) {
+                    0 => {
+                        inv.flow_requested(flow, bytes);
+                        reference.requested(flow, bytes);
+                    }
+                    1 => {
+                        let relay = [None, Some(0), Some(1)][rng.index(3)];
+                        inv.flow_admitted(flow, relay);
+                        reference.admitted(flow, relay, &states);
+                    }
+                    2 => {
+                        inv.flow_killed(flow, bytes / 2);
+                        reference.killed(flow, bytes / 2);
+                    }
+                    3 => {
+                        inv.flow_completed(flow, bytes);
+                        reference.completed(flow, bytes);
+                    }
+                    _ => {
+                        inv.flow_denied(flow);
+                        reference.denied(flow);
+                    }
+                }
+                let live = reference.flows.values().filter(|t| !t.2).count();
+                assert_eq!(inv.live_flows(), live, "round {round}");
+            }
+            assert_eq!(inv.kinds(), reference.kinds, "round {round}");
+        }
     }
 
     #[test]

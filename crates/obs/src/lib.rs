@@ -59,8 +59,8 @@ pub use metrics::{
     GOODPUT_EDGES, QUEUE_DEPTH_EDGES,
 };
 pub use span::{
-    drain_spans, reset_spans, set_span_recording, span, span_recording, SpanKind, SpanRecord,
-    SPAN_CAPACITY,
+    buffered_spans, drain_spans, reset_spans, set_span_recording, span, span_recording, SpanKind,
+    SpanRecord, SPAN_CAPACITY,
 };
 pub use trace::{drain_trace, set_trace_filter, trace, trace_filter, TraceKind, TraceRecord};
 

@@ -29,8 +29,9 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 
 /// Ring capacity. A chaos smoke run emits a few hundred thousand spans;
-/// the ring keeps the most recent window and counts what it overwrote,
-/// and experiments drain per epoch so steady state never wraps.
+/// the ring keeps the most recent window and counts what it overwrote.
+/// Experiments drain at every epoch boundary and whenever the ring is
+/// more than half full ([`buffered_spans`]), so it never wraps.
 pub const SPAN_CAPACITY: usize = 32768;
 
 /// What kind of event a span marks. Operand meanings (`a`, `b`) are
@@ -240,6 +241,15 @@ pub fn span(t_ns: u64, parent: u64, kind: SpanKind, subject: u64, a: u64, b: u64
     })
 }
 
+/// How many spans the ring holds since the last drain (at most
+/// [`SPAN_CAPACITY`]). A long run drains before this reaches the
+/// capacity so the ring never overwrites a record.
+#[inline]
+#[must_use]
+pub fn buffered_spans() -> usize {
+    RING.with(|r| r.borrow().buf.len())
+}
+
 /// Takes all buffered spans in emission order, leaving the ring empty.
 /// Ids keep increasing across drains within a run. Returns the records
 /// and how many older ones the ring overwrote since the last drain.
@@ -370,6 +380,20 @@ mod tests {
         assert_eq!(recs[0].t_ns, 16, "oldest surviving span");
         assert_eq!(recs.last().unwrap().id, n);
         assert!(recs.windows(2).all(|w| w[0].id < w[1].id));
+    }
+
+    #[test]
+    fn buffered_count_follows_emits_and_drains() {
+        let _guard = crate::test_guard();
+        reset_spans();
+        set_span_recording(true);
+        assert_eq!(buffered_spans(), 0);
+        span(1, 0, SpanKind::FlowArrive, 1, 0, 0);
+        span(2, 0, SpanKind::FlowArrive, 2, 0, 0);
+        assert_eq!(buffered_spans(), 2);
+        drain_spans();
+        set_span_recording(false);
+        assert_eq!(buffered_spans(), 0);
     }
 
     #[test]

@@ -34,6 +34,16 @@ impl HeapEntry {
     }
 }
 
+/// The next item of an external stream merged into an [`EventQueue`]
+/// (see [`EventQueue::pop_merged`]).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Merged<E> {
+    /// The stream's next element goes first; the caller advances it.
+    Stream,
+    /// The queue's head event, popped.
+    Queue(SimTime, E),
+}
+
 /// Payload storage. `seq` disambiguates recycled slots so stale handles
 /// can never cancel an unrelated event; `payload` is `None` once the
 /// event fired or was cancelled (lazy cancellation leaves the heap entry
@@ -288,6 +298,46 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// One step of merging an external, time-sorted stream into the
+    /// queue's order without scheduling it. `next` is the time of the
+    /// stream's next element (`None` once it is exhausted) and `base`
+    /// the [`EventQueue::next_seq`] value where the stream would have
+    /// been scheduled. The element goes first when it is earlier than
+    /// the head, or ties with a head scheduled at or after `base` (the
+    /// [`EventQueue::peek_key`] rule); otherwise the head is popped if
+    /// it lies before `until`. `None` ends the merge: the stream is
+    /// exhausted and nothing is left before `until`.
+    ///
+    /// ```
+    /// use simcore::{EventQueue, Merged, SimTime};
+    /// let t = SimTime::from_nanos;
+    /// let mut q = EventQueue::new();
+    /// q.schedule(t(5), "early");
+    /// let base = q.next_seq();
+    /// q.schedule(t(5), "late");
+    /// // A stream element at t=5 sorts after "early", before "late".
+    /// assert!(matches!(q.pop_merged(Some(t(5)), base, SimTime::MAX), Some(Merged::Queue(_, "early"))));
+    /// assert!(matches!(q.pop_merged(Some(t(5)), base, SimTime::MAX), Some(Merged::Stream)));
+    /// assert!(matches!(q.pop_merged(None, base, t(5)), None), "the bound holds");
+    /// ```
+    #[inline]
+    pub fn pop_merged(
+        &mut self,
+        next: Option<SimTime>,
+        base: u64,
+        until: SimTime,
+    ) -> Option<Merged<E>> {
+        let head = self.peek_key();
+        match (next, head) {
+            (Some(at), Some((t, seq))) if at < t || (at == t && seq >= base) => {
+                Some(Merged::Stream)
+            }
+            (Some(_), None) => Some(Merged::Stream),
+            (_, Some((t, _))) if t < until => self.pop().map(|(t, e)| Merged::Queue(t, e)),
+            _ => None,
+        }
     }
 
     /// `true` if no events are pending.
@@ -545,8 +595,8 @@ mod tests {
         assert_eq!(q.pop_batch(&mut batch), None);
     }
 
-    /// Merging a sorted external stream by the `peek_key` / `next_seq`
-    /// rule must reproduce the order of scheduling that stream into the
+    /// Merging a sorted external stream with `pop_merged` (the rule both
+    /// flow-level loops run) must reproduce the order of scheduling that stream into the
     /// queue, across exact-time ties with events scheduled before the
     /// stream's base, after it (up front and while the merge runs), and
     /// cancelled ones.
@@ -617,19 +667,13 @@ mod tests {
             }
             let mut merged = Vec::new();
             let mut next = 0;
-            loop {
-                let take = match (stream.get(next), q.peek_key()) {
-                    (Some(&at), Some((t, seq))) => at < t || (at == t && seq >= base),
-                    (Some(_), None) => true,
-                    (None, _) => false,
-                };
-                let (now, item) = if take {
-                    next += 1;
-                    (stream[next - 1], (true, next as u32 - 1))
-                } else if let Some(ev) = q.pop() {
-                    ev
-                } else {
-                    break;
+            while let Some(step) = q.pop_merged(stream.get(next).copied(), base, SimTime::MAX) {
+                let (now, item) = match step {
+                    Merged::Stream => {
+                        next += 1;
+                        (stream[next - 1], (true, next as u32 - 1))
+                    }
+                    Merged::Queue(t, item) => (t, item),
                 };
                 react(&mut q, now, item);
                 merged.push((now, item));

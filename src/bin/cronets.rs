@@ -21,9 +21,10 @@
 //! `--trace FLOW` additionally records the segment-level event trace of
 //! one DES flow id into `./results/trace_<name>.tsv`.
 //!
-//! `--spans` (chaos) writes the run's causal span stream into
-//! `./results/spans_chaos.tsv`; chaos always writes the fault
-//! attribution table to `./results/attribution.tsv`.
+//! `--spans` (chaos) turns span recording on so the run keeps its
+//! causal span stream and writes it into `./results/spans_chaos.tsv`;
+//! chaos always writes the fault attribution table (built as the span
+//! ring drains) to `./results/attribution.tsv`.
 //!
 //! `--profile` records a sim-time profile per event-handler kind and
 //! writes flamegraph-ready folded stacks into
@@ -236,6 +237,9 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
             }
         }
         "chaos" => {
+            // A chaos run attributes faults from its spans either way;
+            // it keeps the stream only for a caller that records spans.
+            obs::set_span_recording(opts.spans);
             let report = if opts.planet {
                 let (mut cfg, regions) = exp::sharded::chaos_planetary(opts.smoke);
                 cfg.service.paths = opts.paths;
@@ -252,6 +256,7 @@ fn run(name: &str, seed: u64, opts: &Opts) -> bool {
                 cfg.service.khops = opts.khops;
                 exp::chaos::chaos(&cfg, seed)
             };
+            obs::set_span_recording(false);
             print!("{report}");
             if report.span_dropped > 0 {
                 eprintln!(
