@@ -318,6 +318,26 @@ fn bench_broker_decision() -> f64 {
     })
 }
 
+/// The broker's relay-group capacity check on one planet region's fleet
+/// (1,600 slots in 5 groups of 320) with four rented slots in group 0,
+/// two of them full: ns per `group_free` call, cycling the five groups.
+/// Groups 1–4 hold only released slots, as on the planet, so a check
+/// that scans its group reads 320 slots there to answer `false`.
+fn bench_fleet_group_free_planet() -> f64 {
+    let mut cfg = ShardedConfig::planetary().service.fleet;
+    cfg.min_active = 4;
+    let mut fleet = control::Fleet::grouped(cfg, 5);
+    for _ in 0..cfg.capacity_per_relay {
+        fleet.start_in_group(0);
+        fleet.start_in_group(0);
+    }
+    let mut g = 0;
+    bench(1_000_000, 7, || {
+        g = (g + 1) % 5;
+        fleet.group_free(black_box(g))
+    })
+}
+
 /// The whole smoke-sized online service (workload generation, probing,
 /// broker, DES-style completion queue, autoscaler, SLO ledger): the
 /// end-to-end number `cronets service --smoke` pays.
@@ -535,6 +555,7 @@ fn main() {
         ("span_emit_disabled", bench_span_emit_disabled()),
         ("span_emit_enabled", bench_span_emit_enabled()),
         ("broker_decision", bench_broker_decision()),
+        ("fleet_group_free_planet", bench_fleet_group_free_planet()),
         ("service_smoke", bench_service_smoke()),
         ("service_smoke_hybrid", bench_service_smoke_hybrid()),
         ("shard_barrier_epoch", bench_shard_barrier()),

@@ -216,20 +216,19 @@ impl Broker {
         now: SimTime,
         relay_free: impl Fn(usize) -> bool,
     ) -> Decision {
-        let probe = self.probes.get(&(src, dst));
-        let fresh = probe
-            .map(|p| now.saturating_duration_since(p.at) <= self.cfg.max_probe_age)
-            .unwrap_or(false);
-        if !fresh {
-            // Stale or missing probe: never steer onto an overlay blind.
-            // The direct path is the Internet default and needs no state;
-            // admit at the last-known direct rate (0 when never probed).
-            self.stats.stale_fallback += 1;
-            self.stats.admitted += 1;
-            let bps = probe.map_or(0.0, |p| p.eval.direct.throughput_bps);
-            return Decision::Direct { bps };
-        }
-        let eval = &self.probes[&(src, dst)].eval;
+        let eval = match self.probes.get(&(src, dst)) {
+            Some(p) if now.saturating_duration_since(p.at) <= self.cfg.max_probe_age => &p.eval,
+            probe => {
+                // Stale or missing probe: never steer onto an overlay
+                // blind. The direct path is the Internet default and needs
+                // no state; admit at the last-known direct rate (0 when
+                // never probed).
+                self.stats.stale_fallback += 1;
+                self.stats.admitted += 1;
+                let bps = probe.map_or(0.0, |p| p.eval.direct.throughput_bps);
+                return Decision::Direct { bps };
+            }
+        };
         let direct_bps = eval.direct.throughput_bps;
         let mut choice = best_choice_filtered(eval, relay_free);
         if let PathChoice::Overlay(_) = choice {

@@ -98,6 +98,9 @@ pub struct Fleet {
     /// Contiguous slots per relay group (one group per overlay node);
     /// 1 for the classic one-slot-per-node fleet.
     per_group: usize,
+    /// Free slots (active with spare capacity) per relay group, kept
+    /// current by [`Fleet::set_slot`] so [`Fleet::group_free`] is O(1).
+    free: Vec<u32>,
     hourly_usd: f64,
     spend_usd: f64,
     stats: FleetStats,
@@ -140,19 +143,46 @@ impl Fleet {
             cfg.relays.is_multiple_of(groups),
             "relay slots must divide evenly into groups"
         );
-        let mut state = vec![RelayState::Released; cfg.relays];
-        for s in state.iter_mut().take(cfg.min_active) {
-            *s = RelayState::Active;
-        }
-        Fleet {
+        let mut fleet = Fleet {
             hourly_usd: overlay_node_hourly_usd(cfg.port, cfg.plan),
-            state,
+            state: vec![RelayState::Released; cfg.relays],
             flows: vec![0; cfg.relays],
             per_group: cfg.relays / groups,
+            free: vec![0; groups],
             spend_usd: 0.0,
             stats: FleetStats::default(),
             cfg,
+        };
+        for i in 0..cfg.min_active {
+            fleet.set_slot(i, RelayState::Active, 0);
         }
+        fleet
+    }
+
+    /// The one place a slot's state or flow count changes: writes both
+    /// and moves the slot's group free count when the slot crosses the
+    /// free/not-free line.
+    fn set_slot(&mut self, i: usize, state: RelayState, flows: u32) {
+        let was_free = self.is_free(i);
+        self.state[i] = state;
+        self.flows[i] = flows;
+        let g = i / self.per_group;
+        match (was_free, self.is_free(i)) {
+            (false, true) => self.free[g] += 1,
+            (true, false) => self.free[g] -= 1,
+            _ => {}
+        }
+        debug_assert_eq!(
+            self.free[g] as usize,
+            self.group_slots(g).filter(|&j| self.is_free(j)).count(),
+            "free count of relay group {g} out of step with its slots"
+        );
+    }
+
+    /// Slot ids of relay group `g`.
+    fn group_slots(&self, g: usize) -> std::ops::Range<usize> {
+        let base = g * self.per_group;
+        base..base + self.per_group
     }
 
     /// Number of relay groups (overlay nodes) the fleet spans.
@@ -166,24 +196,25 @@ impl Fleet {
     /// exactly [`Fleet::is_free`].
     #[must_use]
     pub fn group_free(&self, g: usize) -> bool {
-        let base = g * self.per_group;
-        (base..base + self.per_group).any(|i| self.is_free(i))
+        self.free[g] > 0
     }
 
-    /// Starts a flow on the first free slot of group `g` and returns
-    /// that slot id. For one-slot groups this is [`Fleet::flow_started`]
-    /// on slot `g`.
+    /// Starts a flow on the lowest-index free slot of group `g` and
+    /// returns that slot id. For one-slot groups this is
+    /// [`Fleet::flow_started`] on slot `g`. The scan stops at the first
+    /// free slot; renting fills slots in index order, so it walks only
+    /// the group's few rented slots.
     ///
     /// # Panics
     ///
     /// Panics if no slot in the group is free — the broker must only
     /// steer onto groups its capacity filter accepted.
     pub fn start_in_group(&mut self, g: usize) -> usize {
-        let base = g * self.per_group;
-        let slot = (base..base + self.per_group)
+        let slot = self
+            .group_slots(g)
             .find(|&i| self.is_free(i))
             .unwrap_or_else(|| panic!("flow steered onto unavailable relay group {g}"));
-        self.flows[slot] += 1;
+        self.set_slot(slot, RelayState::Active, self.flows[slot] + 1);
         slot
     }
 
@@ -215,7 +246,7 @@ impl Fleet {
     /// onto relays its capacity filter accepted.
     pub fn flow_started(&mut self, i: usize) {
         assert!(self.is_free(i), "flow steered onto unavailable relay {i}");
-        self.flows[i] += 1;
+        self.set_slot(i, RelayState::Active, self.flows[i] + 1);
     }
 
     /// Registers a flow finishing on relay `i`. A draining relay whose
@@ -226,11 +257,14 @@ impl Fleet {
     /// Panics if relay `i` has no flows in progress.
     pub fn flow_finished(&mut self, i: usize) {
         assert!(self.flows[i] > 0, "flow finished on idle relay {i}");
-        self.flows[i] -= 1;
-        if self.state[i] == RelayState::Draining && self.flows[i] == 0 {
-            self.state[i] = RelayState::Released;
+        let flows = self.flows[i] - 1;
+        let state = if self.state[i] == RelayState::Draining && flows == 0 {
             self.stats.releases += 1;
-        }
+            RelayState::Released
+        } else {
+            self.state[i]
+        };
+        self.set_slot(i, state, flows);
     }
 
     /// Crashes relay `i`: the VM is gone, every flow it carried is
@@ -250,8 +284,7 @@ impl Fleet {
             "crash on already-failed relay {i}"
         );
         let killed = self.flows[i];
-        self.flows[i] = 0;
-        self.state[i] = RelayState::Failed;
+        self.set_slot(i, RelayState::Failed, 0);
         self.stats.crashes += 1;
         killed
     }
@@ -269,7 +302,7 @@ impl Fleet {
             self.state[i] == RelayState::Failed,
             "restore on non-failed relay {i}"
         );
-        self.state[i] = RelayState::Released;
+        self.set_slot(i, RelayState::Released, 0);
         self.stats.restores += 1;
     }
 
@@ -359,14 +392,14 @@ impl Fleet {
             // Cheapest capacity first: a draining relay is already paid
             // for, so reactivate before renting a released slot.
             if let Some(i) = self.state.iter().position(|s| *s == RelayState::Draining) {
-                self.state[i] = RelayState::Active;
+                self.set_slot(i, RelayState::Active, self.flows[i]);
                 self.stats.scale_ups += 1;
             } else if let Some(i) = self.state.iter().position(|s| *s == RelayState::Released) {
                 let hours_left = remaining.as_secs_f64() / 3600.0;
                 let worst_case =
                     self.spend_usd + (self.in_service() + 1) as f64 * self.hourly_usd * hours_left;
                 if worst_case <= self.cfg.budget_usd {
-                    self.state[i] = RelayState::Active;
+                    self.set_slot(i, RelayState::Active, self.flows[i]);
                     self.stats.scale_ups += 1;
                 }
             }
@@ -382,12 +415,13 @@ impl Fleet {
                 .min_by_key(|&i| (self.flows[i], std::cmp::Reverse(i)));
             if let Some(i) = victim {
                 self.stats.drains += 1;
-                if self.flows[i] == 0 {
-                    self.state[i] = RelayState::Released;
+                let state = if self.flows[i] == 0 {
                     self.stats.releases += 1;
+                    RelayState::Released
                 } else {
-                    self.state[i] = RelayState::Draining;
-                }
+                    RelayState::Draining
+                };
+                self.set_slot(i, state, self.flows[i]);
             }
         }
     }
@@ -619,6 +653,99 @@ mod tests {
         // picks the lowest released slot — the restored one.
         f.rebalance(SimDuration::from_secs(3600));
         assert_eq!(f.relay_state(0), RelayState::Active);
+    }
+
+    /// Random start/finish/crash/restore/rebalance sequences on grouped
+    /// fleets: after every step each group's O(1) free check must agree
+    /// with a linear scan of its slots, and every `start_in_group` must
+    /// land on the group's lowest free slot.
+    #[test]
+    fn group_free_matches_a_linear_scan_under_random_transitions() {
+        for per_group in [1usize, 8, 320] {
+            let groups = 5;
+            let relays = per_group * groups;
+            for seed in 0..4u64 {
+                let mut rng = simcore::SimRng::seed_from(seed).fork(per_group as u64);
+                let mut f = Fleet::grouped(
+                    FleetConfig {
+                        relays,
+                        capacity_per_relay: 2,
+                        // Warm the whole first group and part of the
+                        // second so transitions cross group lines.
+                        min_active: (per_group + per_group.div_ceil(2)).min(relays),
+                        budget_usd: 1e9,
+                        scale_up_util: 0.5,
+                        scale_down_util: 0.4,
+                        ..cfg()
+                    },
+                    groups,
+                );
+                let scan = |f: &Fleet, g: usize| {
+                    (g * per_group..(g + 1) * per_group).find(|&i| f.is_free(i))
+                };
+                for step in 0..1500 {
+                    let i = rng.index(relays);
+                    let g = rng.index(groups);
+                    match rng.index(10) {
+                        0..=2 => {
+                            if let Some(lowest) = scan(&f, g) {
+                                assert_eq!(f.start_in_group(g), lowest, "step {step}");
+                            }
+                        }
+                        3 => {
+                            if f.is_free(i) {
+                                f.flow_started(i);
+                            }
+                        }
+                        4..=6 => {
+                            if f.flows_on(i) > 0 {
+                                f.flow_finished(i);
+                            }
+                        }
+                        7 => {
+                            if f.relay_state(i) == RelayState::Failed {
+                                f.restore(i);
+                            } else if rng.bernoulli(0.3) {
+                                f.crash(i);
+                            }
+                        }
+                        _ => f.rebalance(SimDuration::from_secs(3600)),
+                    }
+                    for g in 0..groups {
+                        assert_eq!(
+                            f.group_free(g),
+                            scan(&f, g).is_some(),
+                            "per_group {per_group} seed {seed} step {step} group {g}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn start_in_group_takes_the_lowest_free_slot() {
+        let mut f = Fleet::grouped(
+            FleetConfig {
+                relays: 8,
+                min_active: 8,
+                ..cfg()
+            },
+            2,
+        );
+        // Group 1 is slots 4..8: fill slot 4, crash slot 5.
+        f.flow_started(4);
+        f.flow_started(4);
+        f.crash(5);
+        assert_eq!(f.start_in_group(1), 6);
+        assert_eq!(f.start_in_group(1), 6);
+        assert_eq!(f.start_in_group(1), 7);
+        f.flow_finished(4);
+        assert_eq!(f.start_in_group(1), 4, "a freed lower slot wins again");
+        assert_eq!(f.start_in_group(0), 0);
+        f.start_in_group(1);
+        assert!(!f.group_free(1), "every live slot of group 1 is full");
+        assert!(f.group_free(0));
     }
 
     #[test]

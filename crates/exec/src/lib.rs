@@ -30,13 +30,14 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// Configured worker count; 0 means "use available parallelism".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set inside [`shard_rounds`] lane threads: a lane is already one
+    /// Set on [`shard_rounds`] worker threads: a worker is already one
     /// of several parallel executors, so nested [`parallel_map`] calls
     /// must run inline rather than oversubscribe the machine with a
     /// second level of worker pools. Inline execution is byte-identical
@@ -78,10 +79,25 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_units(n_units, threads(), false, f)
+}
+
+/// The one worker driver behind [`parallel_map`] and [`shard_rounds`]:
+/// runs `f(0..n_units)` on at most `cap` workers (never more than
+/// [`threads`] or `n_units`) and returns the results in unit-index
+/// order. Workers pull unit indices from an atomic counter, so uneven
+/// units balance dynamically. With `nested_inline`, any call to this
+/// driver made inside a unit on a worker runs inline on that worker
+/// instead of starting a second level of workers.
+fn run_units<T, F>(n_units: usize, cap: usize, nested_inline: bool, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let workers = if INLINE.with(Cell::get) {
         1
     } else {
-        threads().min(n_units).max(1)
+        cap.min(threads()).min(n_units).max(1)
     };
     // Span recording is independent of metrics collection (plain runs
     // still attribute faults), so either flag selects the capture path.
@@ -116,6 +132,9 @@ where
                 let next = &next;
                 let f = &f;
                 scope.spawn(move || {
+                    if nested_inline {
+                        INLINE.with(|c| c.set(true));
+                    }
                     if sharded {
                         // Workers are fresh threads: propagate the trace
                         // filter and span flag so units see the caller's
@@ -180,13 +199,15 @@ where
 /// messages still in flight after the last round are dropped, so
 /// callers must size `rounds` to drain their protocol.
 ///
-/// Shards are multiplexed onto `lanes` worker threads (clamped to
-/// `[1, n]`) by static assignment: lane `l` owns shards `l, l+lanes,
-/// l+2·lanes, …` and steps them in increasing index order. Telemetry
-/// follows the [`parallel_map`] contract — with collection or span
-/// recording on, each shard-step runs under [`obs::capture_unit`] and
-/// the shards are absorbed in shard-index order at the barrier — and
-/// nested [`parallel_map`] calls inside a lane run inline, so the
+/// Each round's shard-steps run on the [`parallel_map`] worker driver
+/// with at most `min(lanes, threads(), n)` workers; a worker pulls the
+/// next unstepped shard when it finishes one, so uneven shards balance
+/// dynamically. With one worker (`lanes == 1` or `--threads 1`) every
+/// step runs on the calling thread. Telemetry follows the
+/// [`parallel_map`] contract — with collection or span recording on,
+/// each shard-step runs under [`obs::capture_unit`] and the shards are
+/// absorbed in shard-index order at the barrier — and nested
+/// [`parallel_map`] calls inside a step on a worker run inline, so the
 /// result, metrics, spans and traces are byte-identical for any
 /// `(lanes, threads)` combination.
 ///
@@ -211,96 +232,26 @@ where
     if n == 0 {
         return states;
     }
-    let lanes = lanes.clamp(1, n);
     let mut inboxes: Vec<Vec<M>> = (0..n).map(|_| Vec::new()).collect();
     for round in 0..rounds {
-        let sharded = obs::enabled() || obs::span_recording();
-        let mut outboxes: Vec<Vec<(usize, M)>> = Vec::with_capacity(n);
-        if lanes == 1 {
-            // Inline on the caller; nested parallel_map still uses the
-            // full pool. Capture per shard when telemetry is on so the
-            // stream is identical to the multi-lane path.
-            let mut shards = Vec::with_capacity(n);
-            for (i, (state, inbox)) in states.iter_mut().zip(&mut inboxes).enumerate() {
-                let inbox = std::mem::take(inbox);
-                if sharded {
-                    let (out, shard) = obs::capture_unit(|| step(i, state, round, inbox));
-                    outboxes.push(out);
-                    shards.push(shard);
-                } else {
-                    outboxes.push(step(i, state, round, inbox));
-                }
-            }
-            for shard in shards {
-                obs::absorb_unit(shard);
-            }
-        } else {
-            // Static assignment: lane l owns shards l, l+lanes, … — the
-            // partition is a pure function of (n, lanes), never of the
-            // schedule.
-            let mut lane_work: Vec<Vec<(usize, S, Vec<M>)>> =
-                (0..lanes).map(|_| Vec::new()).collect();
-            for (i, (state, inbox)) in states.drain(..).zip(inboxes.drain(..)).enumerate() {
-                lane_work[i % lanes].push((i, state, inbox));
-            }
-            let trace_filter = obs::trace_filter();
-            let span_recording = obs::span_recording();
-            let profiling = simcore::profile::enabled();
-            type Stepped<S, M> = (usize, S, Vec<(usize, M)>, Option<obs::UnitShard>);
-            let mut tagged: Vec<Stepped<S, M>> = Vec::with_capacity(n);
-            thread::scope(|scope| {
-                let handles: Vec<_> = lane_work
-                    .drain(..)
-                    .map(|work| {
-                        let step = &step;
-                        scope.spawn(move || {
-                            INLINE.with(|c| c.set(true));
-                            if sharded {
-                                obs::set_trace_filter(trace_filter);
-                                obs::set_span_recording(span_recording);
-                            }
-                            simcore::profile::set_enabled(profiling);
-                            let mut local = Vec::with_capacity(work.len());
-                            for (i, mut state, inbox) in work {
-                                if sharded {
-                                    let (out, shard) =
-                                        obs::capture_unit(|| step(i, &mut state, round, inbox));
-                                    local.push((i, state, out, Some(shard)));
-                                } else {
-                                    let out = step(i, &mut state, round, inbox);
-                                    local.push((i, state, out, None));
-                                }
-                            }
-                            let prof = profiling.then(simcore::profile::take_shard);
-                            (local, prof)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    match handle.join() {
-                        Ok((part, prof)) => {
-                            tagged.extend(part);
-                            if let Some(prof) = prof {
-                                simcore::profile::merge_shard(&prof);
-                            }
-                        }
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-            });
-            tagged.sort_unstable_by_key(|&(i, ..)| i);
-            inboxes = (0..n).map(|_| Vec::new()).collect();
-            for (_, state, out, shard) in tagged {
-                if let Some(shard) = shard {
-                    obs::absorb_unit(shard);
-                }
-                states.push(state);
-                outboxes.push(out);
-            }
-        }
+        // Each unit locks its own shard exactly once, so the locks are
+        // never contended; they only hand `&mut` access to one worker.
+        let work: Vec<Mutex<(&mut S, Vec<M>)>> = states
+            .iter_mut()
+            .zip(inboxes.iter_mut().map(std::mem::take))
+            .map(Mutex::new)
+            .collect();
+        let outboxes = run_units(n, lanes, true, |i| {
+            let mut unit = work[i]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let (state, inbox) = &mut *unit;
+            step(i, state, round, std::mem::take(inbox))
+        });
+        drop(work);
         // Route in shard-index order: inbox order is (sender, emission).
-        for out in &mut outboxes {
-            for (dst, msg) in out.drain(..) {
+        for out in outboxes {
+            for (dst, msg) in out {
                 assert!(dst < n, "shard message addressed to unknown shard {dst}");
                 inboxes[dst].push(msg);
             }
@@ -520,6 +471,128 @@ mod tests {
         let (_, log) = ring(4, 2, 5);
         assert_eq!(log.len(), 5);
         set_threads(0);
+    }
+
+    /// `(round, thread id)` of every shard-step, `lanes` lanes over 12
+    /// shards for 3 rounds.
+    fn stepping_threads(lanes: usize) -> Vec<(usize, thread::ThreadId)> {
+        let seen = Mutex::new(Vec::new());
+        shard_rounds(
+            vec![0u64; 12],
+            lanes,
+            3,
+            |i, s, round, _inbox: Vec<u64>| {
+                seen.lock().unwrap().push((round, thread::current().id()));
+                // Enough work per step that every worker gets a turn.
+                *s = (0..20_000u64).fold(*s ^ i as u64, |a, k| a.wrapping_mul(31) ^ k);
+                Vec::new()
+            },
+            |_, _| {},
+        );
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn one_thread_steps_every_shard_on_the_caller() {
+        let _g = guard();
+        set_threads(1);
+        let seen = stepping_threads(4);
+        set_threads(0);
+        assert_eq!(seen.len(), 36);
+        let me = thread::current().id();
+        assert!(
+            seen.iter().all(|&(_, t)| t == me),
+            "a shard stepped off the caller"
+        );
+    }
+
+    #[test]
+    fn lanes_cap_the_stepping_workers() {
+        let _g = guard();
+        set_threads(8);
+        let seen = stepping_threads(3);
+        set_threads(0);
+        assert_eq!(seen.len(), 36);
+        for round in 0..3 {
+            let mut ids: Vec<String> = seen
+                .iter()
+                .filter(|&&(r, _)| r == round)
+                .map(|(_, t)| format!("{t:?}"))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert!(
+                ids.len() <= 3,
+                "{} threads stepped shards in round {round}",
+                ids.len()
+            );
+        }
+    }
+
+    /// Shards with deliberately uneven work (shard `i` spins `i²` times
+    /// longer than shard 0) that count, emit spans and send a variable
+    /// number of messages: everything observable must be the same at
+    /// any `(lanes, threads)`, whichever worker happens to step which
+    /// shard.
+    #[test]
+    fn uneven_shards_are_lane_and_thread_invariant() {
+        let _g = guard();
+        let run = |lanes: usize, threads: usize| {
+            set_threads(threads);
+            obs::enable();
+            obs::reset_spans();
+            obs::set_span_recording(true);
+            let mut barrier_log = Vec::new();
+            let states = shard_rounds(
+                vec![Vec::new(); 9],
+                lanes,
+                4,
+                |i, s: &mut Vec<u64>, round, inbox: Vec<u64>| {
+                    let spin = (0..(i * i * 2_000) as u64).fold(0u64, |a, k| a.wrapping_add(k ^ a));
+                    obs::add_named("exec.uneven.steps", 1);
+                    obs::add_named("exec.uneven.inbox", inbox.len() as u64);
+                    let root =
+                        obs::span(round as u64, 0, obs::SpanKind::FlowArrive, i as u64, 0, 1);
+                    obs::span(
+                        round as u64,
+                        root,
+                        obs::SpanKind::Admit,
+                        i as u64,
+                        spin & 1,
+                        0,
+                    );
+                    s.extend(inbox);
+                    (0..=(i + round) % 3)
+                        .map(|k| {
+                            (
+                                (i * 4 + k) % 9,
+                                (i as u64) << 16 | (round as u64) << 8 | k as u64,
+                            )
+                        })
+                        .collect()
+                },
+                |round, states| {
+                    barrier_log.push((round, states.iter().map(Vec::len).sum::<usize>()))
+                },
+            );
+            let snap = obs::snapshot().to_tsv();
+            let spans = obs::drain_spans();
+            obs::set_span_recording(false);
+            obs::disable();
+            (states, barrier_log, snap, spans)
+        };
+        let baseline = run(1, 1);
+        for lanes in [1, 2, 8] {
+            for threads in [1, 2, 8] {
+                assert!(
+                    run(lanes, threads) == baseline,
+                    "lanes={lanes} threads={threads}"
+                );
+            }
+        }
+        set_threads(0);
+        assert!(baseline.2.contains("exec.uneven.steps\tcounter\t36"));
+        assert_eq!(baseline.3 .0.len(), 72);
     }
 
     #[test]

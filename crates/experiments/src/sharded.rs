@@ -34,8 +34,9 @@
 //! # Determinism
 //!
 //! A sharded run is a pure function of `(config, seed)` for **any**
-//! `(--shards, --threads)` combination: lanes use static shard
-//! assignment, mailboxes deliver in (sender shard, emission) order, the
+//! `(--shards, --threads)` combination: lanes pull shards dynamically
+//! but return their results in shard order, mailboxes deliver in
+//! (sender shard, emission) order, the
 //! barrier folds in region order on one thread, and telemetry rides the
 //! `obs` unit-shard capture path. With one region the engine defers to
 //! the classic loop, byte for byte.

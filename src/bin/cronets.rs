@@ -117,8 +117,9 @@ fn usage() {
     eprintln!("                control plane replicated over the region fabric");
     eprintln!("                (64 regions full, 8 with --smoke); DES fidelity only");
     eprintln!("  --shards S    (service/chaos, with --planet) worker lanes for the");
-    eprintln!("                per-region shards, S >= 1 (default 1); output is");
-    eprintln!("                byte-identical for any (--shards, --threads)");
+    eprintln!("                per-region shards, S >= 1 (default 1), capped by");
+    eprintln!("                --threads; output is byte-identical for any");
+    eprintln!("                (--shards, --threads)");
     eprintln!("  --fidelity F  service/chaos simulation fidelity: des (default,");
     eprintln!("                full event-driven day), hybrid (overlay flows exact,");
     eprintln!("                direct-path mass settled analytically) or analytic");
@@ -343,7 +344,8 @@ struct Opts {
     /// `--planet`: run service/chaos at planetary scale on the sharded
     /// control plane.
     planet: bool,
-    /// `--shards S`: worker lanes for the sharded control plane.
+    /// `--shards S`: worker lanes for the sharded control plane (at
+    /// most `--threads` of them run at once).
     shards: usize,
     spans: bool,
     profile: bool,
